@@ -187,11 +187,7 @@ def test_dispatch_table(dispatch_stream, tmp_path, save_table):
     # RUNS timed passes; every backend must reproduce the numpy estimate
     # exactly (the backend layer is an execution strategy, never a
     # different algorithm).
-    from repro.engine.backend import (
-        available_backends,
-        get_backend,
-        numba_available,
-    )
+    from repro.engine.backend import available_backends
 
     def _pass_rate(backend_name):
         algo = factory()
@@ -204,31 +200,9 @@ def test_dispatch_table(dispatch_stream, tmp_path, save_table):
     backend_rows: dict = {}
     noise_rows: dict = {}
     for backend_name in available_backends():
-        if backend_name == "numba":
-            # First pass pays JIT compilation; keep it out of the median.
-            get_backend("numba").warmup()
-            _pass_rate("numba")
         rate, noise_pct = _median_rate(partial(_pass_rate, backend_name))
         backend_rows[backend_name] = int(rate)
         noise_rows[backend_name] = round(noise_pct, 1)
-
-    # Thread-scaling rows: the numba kernels fan chunk work across a
-    # prange pool, so throughput should move with the thread count
-    # (within what the instance's chunk sizes can feed).
-    thread_rows: dict = {}
-    if numba_available():
-        backend = get_backend("numba")
-        original_threads = backend.threads
-        try:
-            for threads in (1, 2, 4):
-                threads = min(threads, backend.max_threads())
-                if str(threads) in thread_rows:
-                    continue
-                backend.set_threads(threads)
-                rate, _ = _median_rate(partial(_pass_rate, "numba"), runs=3)
-                thread_rows[str(threads)] = int(rate)
-        finally:
-            backend.set_threads(original_threads)
 
     table = ResultTable(
         ["dispatch", "stream", "payload bytes", "tokens/sec", "estimate"],
@@ -244,17 +218,12 @@ def test_dispatch_table(dispatch_stream, tmp_path, save_table):
         "noise_pct": noise_rows,
         "single_pass_tokens_per_sec": backend_rows["numpy"],
         "backend_tokens_per_sec": backend_rows,
-        "numba_threads_tokens_per_sec": thread_rows,
         "dispatch_bytes": {},
         "sharded_tokens_per_sec": {},
     }
     for backend_name, rate in backend_rows.items():
         table.add_row(
             f"single ({backend_name})", "full", 0, rate, round(reference, 1)
-        )
-    for threads, rate in thread_rows.items():
-        table.add_row(
-            f"single (numba, {threads}t)", "full", 0, rate, round(reference, 1)
         )
 
     cases = [

@@ -1,7 +1,7 @@
-"""CI smoke check: the array-backend layer is free on numpy, exact and
-fast on the optional backends.
+"""CI smoke check: the array-backend layer is free on numpy and exact on
+torch.
 
-Three gates, deliberately small (seconds, not minutes):
+Two gates, deliberately small (seconds, not minutes):
 
 * **No numpy-path regression.**  Routing every kernel through
   :class:`repro.engine.backend.ArrayBackend` must not tax the host hot
@@ -12,17 +12,12 @@ Three gates, deliberately small (seconds, not minutes):
 * **Cross-backend bit-identity (torch).**  When torch is importable,
   the same stream replayed under ``--backend torch-cpu`` must serialise
   to exactly the bytes of the numpy run and report the same estimate.
-* **Compiled-kernel parity and speed (numba).**  When numba is
-  importable, a pass over an instance whose element universe exceeds
-  the plan's tabulation cap (so every chunk runs the mega-bank Horner
-  kernel, not a table gather) must be byte-identical to numpy *and* at
-  least ``NUMBA_MIN_SPEEDUP`` faster.
 
-When an optional backend is absent its gate is skipped gracefully --
-backends are optional, correctness gates are not.
+When torch is absent its gate is skipped gracefully -- backends are
+optional, correctness gates are not.
 
 Exits non-zero on any regression; designed to finish well inside a
-couple of minutes even with JIT compilation.
+minute.
 
 Run:  PYTHONPATH=src python benchmarks/smoke_backend.py
 """
@@ -32,42 +27,17 @@ from __future__ import annotations
 import sys
 import time
 
-import numpy as np
-
 from repro import EdgeStream, EstimateMaxCover, StreamRunner, planted_cover
-from repro.engine.backend import (
-    available_backends,
-    get_backend,
-    numba_available,
-    torch_available,
-)
+from repro.engine.backend import available_backends, torch_available
+from repro.sketch.serialize import state_difference
 
 N, M, K, ALPHA = 2000, 400, 10, 4.0
 PREFIX = 600
 MIN_SPEEDUP = 3.0
 
-# Numba gate: the element universe must beat TABLE_DOMAIN_CAP (2^16) so
-# element-column hash families stay in mega-bank Horner mode -- the
-# compiled kernels' home turf; a tabulated instance would measure only
-# gathers and prove nothing.
-NUMBA_N, NUMBA_M = 80_000, 500
-NUMBA_TOKENS = 250_000
-NUMBA_MIN_SPEEDUP = 1.5
 
-
-def _make(m=M, n=N) -> EstimateMaxCover:
-    return EstimateMaxCover(m=m, n=n, k=K, alpha=ALPHA, seed=7)
-
-
-def _state_identical(left, right) -> str | None:
-    """Key of the first differing state array, or ``None`` when equal."""
-    ls, rs = left.state_arrays(), right.state_arrays()
-    if list(ls) != list(rs):
-        return "<key order>"
-    for key in ls:
-        if not np.array_equal(ls[key], rs[key]):
-            return key
-    return None
+def _make() -> EstimateMaxCover:
+    return EstimateMaxCover(m=M, n=N, k=K, alpha=ALPHA, seed=7)
 
 
 def main() -> int:
@@ -118,7 +88,11 @@ def main() -> int:
             f"tokens/sec ({torch_report.tokens} tokens in "
             f"{torch_report.seconds:.2f}s, backend={torch_report.backend})"
         )
-        differing = _state_identical(torch_algo, numpy_algo)
+        # Same chunking on both sides, so no key is order-free here.
+        differing = state_difference(
+            torch_algo.state_arrays(), numpy_algo.state_arrays(),
+            order_free=(),
+        )
         if differing is not None:
             print(f"FAIL: torch-cpu and numpy state differ at {differing!r}")
             return 1
@@ -127,65 +101,6 @@ def main() -> int:
             return 1
         print("torch-cpu state byte-identical to numpy")
 
-    # Gate 3: numba parity and speed on a mega-bank-mode instance.
-    if not numba_available():
-        print(
-            "skipped: numba not installed -- compiled-kernel parity and "
-            "speed not checked"
-        )
-        print("OK")
-        return 0
-
-    # Compile every kernel signature up front on tiny inputs so the
-    # timed pass below measures steady-state throughput, not JIT.
-    get_backend("numba").warmup()
-    big_workload = planted_cover(
-        n=NUMBA_N, m=NUMBA_M, k=K, coverage_frac=0.9, seed=99
-    )
-    full_stream = EdgeStream.from_system(
-        big_workload.system, order="random", seed=2
-    )
-    # A prefix keeps the smoke inside its time budget; the universe
-    # (and with it mega-bank mode) is what matters, not the edge count.
-    ids, elems = full_stream.as_arrays()
-    big_stream = EdgeStream.from_columns(
-        ids[:NUMBA_TOKENS].copy(),
-        elems[:NUMBA_TOKENS].copy(),
-        m=NUMBA_M,
-        n=NUMBA_N,
-    )
-    runs = {}
-    for backend_name in ("numpy", "numba"):
-        algo = _make(m=NUMBA_M, n=NUMBA_N)
-        report = StreamRunner(
-            chunk_size=8192, array_backend=backend_name
-        ).run(algo, big_stream)
-        runs[backend_name] = (algo, report)
-        print(
-            f"{backend_name} backend (n={NUMBA_N}): "
-            f"{report.tokens_per_sec:.0f} tokens/sec "
-            f"({report.tokens} tokens in {report.seconds:.2f}s)"
-        )
-    numpy_big, numpy_big_report = runs["numpy"]
-    numba_algo, numba_report = runs["numba"]
-    differing = _state_identical(numba_algo, numpy_big)
-    if differing is not None:
-        print(f"FAIL: numba and numpy state differ at {differing!r}")
-        return 1
-    if numba_algo.estimate() != numpy_big.estimate():
-        print("FAIL: numba and numpy estimates disagree")
-        return 1
-    print("numba state byte-identical to numpy")
-    numba_speedup = (
-        numba_report.tokens_per_sec / numpy_big_report.tokens_per_sec
-    )
-    print(
-        f"numba speedup: {numba_speedup:.2f}x "
-        f"(floor {NUMBA_MIN_SPEEDUP}x)"
-    )
-    if numba_speedup < NUMBA_MIN_SPEEDUP:
-        print("FAIL: numba backend below the speedup floor over numpy")
-        return 1
     print("OK")
     return 0
 

@@ -3,8 +3,10 @@
 A deliberately small configuration (seconds, not minutes): time the
 scalar reference on a stream prefix, the vectorized engine on the whole
 stream, check the rates and that both paths agree bit-for-bit on the
-shared prefix.  Exits non-zero on any regression; designed to finish
-well inside 30 seconds.
+shared prefix -- the same estimate and the same serialised state, array
+by array (the fused plan is an execution strategy, never a different
+algorithm).  Exits non-zero on any regression; designed to finish well
+inside 30 seconds.
 
 Run:  PYTHONPATH=src python benchmarks/smoke_throughput.py
 """
@@ -15,6 +17,7 @@ import sys
 import time
 
 from repro import EdgeStream, EstimateMaxCover, StreamRunner, planted_cover
+from repro.sketch.serialize import state_difference
 
 N, M, K, ALPHA = 2000, 400, 10, 4.0
 PREFIX = 600
@@ -39,6 +42,12 @@ def main() -> int:
     vectorized_prefix.process_batch(set_ids[:PREFIX], elements[:PREFIX])
     if vectorized_prefix.peek_estimate() != scalar.peek_estimate():
         print("FAIL: scalar and vectorized paths disagree on the prefix")
+        return 1
+    differing = state_difference(
+        vectorized_prefix.state_arrays(), scalar.state_arrays()
+    )
+    if differing is not None:
+        print(f"FAIL: scalar and vectorized state differ at {differing!r}")
         return 1
 
     report = StreamRunner(chunk_size=4096).run(make(), stream)

@@ -166,34 +166,20 @@ class StreamingAlgorithm(abc.ABC):
         for row in zip(*columns):
             self._process(*(int(x) for x in row))
 
-    def _ingest_batch(self, *columns) -> None:
-        """Feed pre-validated int64 column arrays (internal fan-out path).
-
-        Multi-branch dispatchers (``EstimateMaxCover`` over its
-        reduction branches, ``Oracle`` over its subroutines) validate a
-        chunk once at the top and then hand the same arrays to many
-        children; this entry point skips :meth:`process_batch`'s
-        re-conversion while keeping the pass-finalisation check and the
-        token count.
-        """
-        self._check_open()
-        self._tokens_seen += len(columns[0])
-        self._process_batch(*columns)
-
     def _ingest_planned(self, set_ids, elements, ctx) -> None:
         """Feed a chunk together with its fused-evaluation context.
 
-        The planned counterpart of :meth:`_ingest_batch`: composite
-        roots that built an :class:`repro.engine.plan.EvalPlan` hand
-        each consumer the per-chunk :class:`~repro.engine.plan.ChunkContext`
-        so registered hash families are evaluated once and shared.
+        The internal fan-out path: composite roots that built an
+        :class:`repro.engine.plan.EvalPlan` hand each consumer the
+        per-chunk :class:`~repro.engine.plan.ChunkContext` so registered
+        hash families are evaluated once and shared.
         """
         self._check_open()
         self._tokens_seen += len(set_ids)
         self._process_planned(set_ids, elements, ctx)
 
     def _process_planned(self, set_ids, elements, ctx) -> None:
-        """Planned batch kernel; defaults to the unplanned one."""
+        """Planned batch kernel; defaults to the leaf batch kernel."""
         self._process_batch(set_ids, elements)
 
     def process_stream_batched(
@@ -391,7 +377,7 @@ class RunReport:
         tuner settled on, not the probe sizes.
     backend:
         Name of the array backend the pass ran under (``"numpy"``,
-        ``"numba"``, ``"torch-cpu"``, ``"torch-cuda"``).
+        ``"torch-cpu"``, ``"torch-cuda"``).
     autotune:
         ``None`` for fixed-size runs; for autotuned runs, the tuner's
         probe table (see :meth:`repro.engine.autotune.AutotuneResult.report`).

@@ -148,9 +148,8 @@ def build_parser() -> argparse.ArgumentParser:
             choices=BACKEND_CHOICES,
             default="numpy",
             help="array backend for the kernels: numpy (reference), "
-            "numba (compiled thread-parallel host kernels), torch / "
-            "torch-cpu / torch-cuda (bit-identical int64 arithmetic), "
-            "or auto (CUDA when available, else numba, else numpy)",
+            "torch / torch-cpu / torch-cuda (bit-identical int64 "
+            "arithmetic), or auto (CUDA when available, else numpy)",
         )
 
     est = sub.add_parser("estimate", help="estimate optimal coverage")
@@ -216,12 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print the per-kernel wall-clock breakdown of the pass "
         "(hash evaluation, sketch scatters, candidate pools, ...)",
-    )
-    bench.add_argument(
-        "--no-plan",
-        action="store_true",
-        help="disable the fused evaluation plan and run the legacy "
-        "per-branch path (same numbers, for A/B timing)",
     )
     bench.add_argument(
         "--autotune",
@@ -458,10 +451,8 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    import contextlib
     import functools
 
-    from repro.engine.plan import planning_disabled
     from repro.engine.profile import PROFILER
 
     stream = _load(args)
@@ -475,14 +466,10 @@ def _cmd_bench(args) -> int:
         alpha=args.alpha,
         seed=args.seed,
     )
-    plan_guard = (
-        planning_disabled() if args.no_plan else contextlib.nullcontext()
-    )
     if args.profile:
         PROFILER.start()
     try:
-        with plan_guard:
-            algo, report = _run_maybe_sharded(args, factory, stream)
+        algo, report = _run_maybe_sharded(args, factory, stream)
     finally:
         if args.profile:
             PROFILER.stop()
@@ -490,7 +477,6 @@ def _cmd_bench(args) -> int:
     print(f"seconds: {report.seconds:.3f}")
     print(f"estimate: {algo.estimate():.1f}")
     print(f"space_words: {algo.space_words()}")
-    print(f"plan: {'disabled' if args.no_plan else 'fused'}")
     _print_throughput(args, report)
     if report.autotune is not None:
         print(f"autotuned chunk_size: {report.chunk_size}")

@@ -40,8 +40,8 @@ from repro.base import (
 )
 from repro.core.oracle import Oracle
 from repro.core.parameters import Parameters
-from repro.core.universe_reduction import ReducerBank, UniverseReducer
-from repro.engine.plan import EvalPlan, planning_enabled
+from repro.core.universe_reduction import UniverseReducer
+from repro.engine.plan import EvalPlan
 from repro.sketch.hashing import same_hash
 
 __all__ = ["EstimateMaxCover"]
@@ -147,12 +147,6 @@ class EstimateMaxCover(StreamingAlgorithm):
                     seed=rng.integers(0, 2**63),
                 )
                 self._branches.append((z, reducer, oracle))
-        # The vectorized multi-branch engine: every branch's reduction
-        # hash stacked into one (branches x degree) coefficient matrix,
-        # so a chunk is reduced for all branches in one Horner pass.
-        self._reducer_bank = ReducerBank(
-            [reducer for _z, reducer, _oracle in self._branches]
-        )
         # Fused evaluation plan; built lazily at the first vectorised
         # chunk so the scalar path and worker construction stay cheap.
         self._plan = None
@@ -180,20 +174,19 @@ class EstimateMaxCover(StreamingAlgorithm):
     def _process_batch(self, set_ids, elements) -> None:
         if self.trivial:
             return
-        if planning_enabled():
-            ctx = self._ensure_plan().begin_chunk(set_ids, elements)
-            if ctx is not None:
-                # ctx.set_ids is the chunk's set column on the plan's
-                # array backend (one transfer); each branch's reduced
-                # element column is likewise backend-resident.
-                for slot, (_z, _reducer, oracle) in zip(
-                    self._branch_slots, self._branches
-                ):
-                    oracle._ingest_planned(ctx.set_ids, ctx.values(slot), ctx)
-                return
-        reduced = self._reducer_bank.map_all(elements)
-        for row, (_z, _reducer, oracle) in zip(reduced, self._branches):
-            oracle._ingest_batch(set_ids, row)
+        ctx = self._ensure_plan().begin_chunk(set_ids, elements)
+        if ctx is None:
+            # Ids outside the declared [0, m) / [0, n): the scalar
+            # reference loop handles the chunk.
+            super()._process_batch(set_ids, elements)
+            return
+        # ctx.set_ids is the chunk's set column on the plan's array
+        # backend (one transfer); each branch's reduced element column
+        # is likewise backend-resident.
+        for slot, (_z, _reducer, oracle) in zip(
+            self._branch_slots, self._branches
+        ):
+            oracle._ingest_planned(ctx.set_ids, ctx.values(slot), ctx)
 
     def _require_mergeable(self, other: "EstimateMaxCover") -> None:
         if (

@@ -41,7 +41,7 @@ from repro.core.large_common import LargeCommon
 from repro.core.large_set import LargeSet
 from repro.core.parameters import Parameters
 from repro.core.small_set import SmallSet
-from repro.engine.plan import EvalPlan, planning_enabled
+from repro.engine.plan import EvalPlan
 
 __all__ = ["OracleEstimate", "Oracle"]
 
@@ -137,25 +137,19 @@ class Oracle(StreamingAlgorithm):
             self._small_set.process(set_id, element)
 
     def _process_batch(self, set_ids, elements) -> None:
-        if planning_enabled():
-            if self._plan is None:
-                plan = EvalPlan(self.params.m, self.params.n)
-                self._register_plan(plan, plan.sets, plan.elems)
-                self._plan = plan
-            ctx = self._plan.begin_chunk(set_ids, elements)
-            if ctx is not None:
-                # Hand down the context's columns (not the raw chunk):
-                # they live on the plan's array backend, transferred once.
-                self._process_planned(ctx.set_ids, ctx.elements, ctx)
-                return
-        # The chunk was validated once at the top-level entry; hand the
-        # same arrays to each subroutine without re-conversion.
-        if self._large_common is not None:
-            self._large_common._ingest_batch(set_ids, elements)
-        if self._large_set is not None:
-            self._large_set._ingest_batch(set_ids, elements)
-        if self._small_set is not None:
-            self._small_set._ingest_batch(set_ids, elements)
+        if self._plan is None:
+            plan = EvalPlan(self.params.m, self.params.n)
+            self._register_plan(plan, plan.sets, plan.elems)
+            self._plan = plan
+        ctx = self._plan.begin_chunk(set_ids, elements)
+        if ctx is None:
+            # Ids outside the declared [0, m) / [0, n): the scalar
+            # reference loop handles the chunk.
+            super()._process_batch(set_ids, elements)
+            return
+        # Hand down the context's columns (not the raw chunk): they live
+        # on the plan's array backend, transferred once.
+        self._process_planned(ctx.set_ids, ctx.elements, ctx)
 
     # -- fused-plan hooks ---------------------------------------------------
 

@@ -45,7 +45,7 @@ from repro.core.large_set import LargeSet
 from repro.core.parameters import Parameters
 from repro.core.small_set import SmallSet
 from repro.engine.backend import backend_of
-from repro.engine.plan import EvalPlan, planning_enabled
+from repro.engine.plan import EvalPlan
 from repro.sketch.hashing import (
     KWiseHash,
     default_degree,
@@ -367,26 +367,18 @@ class MaxCoverReporter(StreamingAlgorithm):
         return self._plan
 
     def _process_batch(self, set_ids, elements) -> None:
-        if planning_enabled():
-            ctx = self._ensure_plan().begin_chunk(set_ids, elements)
-            if ctx is not None:
-                # Hand down the context's backend-resident columns; the
-                # raw chunk stays on the host.
-                self._large_common._ingest_planned(
-                    ctx.set_ids, ctx.elements, ctx
-                )
-                self._large_set._ingest_planned(
-                    ctx.set_ids, ctx.elements, ctx
-                )
-                if self._small_set is not None:
-                    self._small_set._ingest_planned(
-                        ctx.set_ids, ctx.elements, ctx
-                    )
-                return
-        self._large_common.process_batch(set_ids, elements)
-        self._large_set.process_batch(set_ids, elements)
+        ctx = self._ensure_plan().begin_chunk(set_ids, elements)
+        if ctx is None:
+            # Ids outside the declared [0, m) / [0, n): the scalar
+            # reference loop handles the chunk.
+            super()._process_batch(set_ids, elements)
+            return
+        # Hand down the context's backend-resident columns; the raw
+        # chunk stays on the host.
+        self._large_common._ingest_planned(ctx.set_ids, ctx.elements, ctx)
+        self._large_set._ingest_planned(ctx.set_ids, ctx.elements, ctx)
         if self._small_set is not None:
-            self._small_set.process_batch(set_ids, elements)
+            self._small_set._ingest_planned(ctx.set_ids, ctx.elements, ctx)
 
     def _require_mergeable(self, other: "MaxCoverReporter") -> None:
         if other.params != self.params:

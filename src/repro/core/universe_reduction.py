@@ -15,20 +15,19 @@ set onto ``z`` *pseudo-elements* with a 4-wise independent hash.  Then
   universe, i.e. ``eta = 4``.
 
 :class:`UniverseReducer` is the hash wrapper; it maps each stream edge
-``(S, e)`` to ``(S, h(e))`` on the fly.  :class:`ReducerBank` stacks the
-hashes of *all* parallel reduction branches (every guess ``z`` times
-every repetition) so one batched Horner pass reduces a chunk of edges
-for every branch at once -- the entry point of the vectorized
-multi-branch engine in ``EstimateMaxCover``.
+``(S, e)`` to ``(S, h(e))`` on the fly.  The vectorised path of
+``EstimateMaxCover`` registers every branch's reduction hash on its
+fused evaluation plan (:mod:`repro.engine.plan`), so one Horner pass
+reduces a chunk of edges for every branch at once.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.sketch.hashing import KWiseHash, KWiseHashBank
+from repro.sketch.hashing import KWiseHash
 
-__all__ = ["UniverseReducer", "ReducerBank"]
+__all__ = ["UniverseReducer"]
 
 
 class UniverseReducer:
@@ -68,29 +67,3 @@ class UniverseReducer:
     def space_words(self) -> int:
         return self._hash.space_words() + 1
 
-
-class ReducerBank:
-    """All reduction branches' hashes in one ``(branches, degree)`` stack.
-
-    ``EstimateMaxCover`` runs ``log n * log(1/delta)`` universe-reduction
-    branches in parallel; reducing a chunk branch-by-branch repeats the
-    Horner evaluation (and its numpy dispatch cost) once per branch.
-    The bank evaluates every branch's degree-4 polynomial on the chunk
-    in a single pass; row ``b`` of :meth:`map_all` is bit-identical to
-    ``reducers[b].map_batch`` (and to per-token ``map_element``).
-    """
-
-    def __init__(self, reducers):
-        reducers = list(reducers)
-        if not reducers:
-            raise ValueError("ReducerBank needs at least one UniverseReducer")
-        self.size = len(reducers)
-        self.zs = [r.z for r in reducers]
-        self._bank = KWiseHashBank([r._hash for r in reducers])
-
-    def map_all(self, elements) -> np.ndarray:
-        """``(branches, L)`` matrix of reduced pseudo-elements."""
-        return self._bank.eval_many(np.asarray(elements, dtype=np.int64))
-
-    def space_words(self) -> int:
-        return self._bank.space_words() + self.size

@@ -1,6 +1,6 @@
 """Fused evaluation engine for the multi-branch streaming composites.
 
-The composite tree (``EstimateMaxCover -> ReducerBank -> Oracle ->
+The composite tree (``EstimateMaxCover -> UniverseReducer -> Oracle ->
 LargeCommon/LargeSet/SmallSet -> SampledSet/L0/F2/CountSketch``)
 evaluates many k-wise polynomial hash families against the same two
 chunk columns.  :mod:`repro.engine.plan` collects those families into a
@@ -10,11 +10,10 @@ with one Horner pass, and memoises every per-chunk result so nested
 composites reuse parent evaluations instead of re-hashing.
 
 :mod:`repro.engine.backend` is the array-backend shim those passes run
-on: a numpy reference implementation, a numba port with compiled
-thread-parallel host kernels, and a torch (CPU/CUDA) port of the same
-primitives, selected per run and bit-identical by contract.
-:mod:`repro.engine.arena` holds the per-plan scratch arena those host
-backends write into; :mod:`repro.engine.autotune` picks the chunk size
+on: a numpy reference implementation and a torch (CPU/CUDA) port of the
+same primitives, selected per run and bit-identical by contract.
+:mod:`repro.engine.arena` holds the per-plan scratch arena the numpy
+backend writes into; :mod:`repro.engine.autotune` picks the chunk size
 empirically for ``StreamRunner(chunk_size="auto")``.
 
 :mod:`repro.engine.profile` carries the opt-in per-kernel timer behind
@@ -29,7 +28,6 @@ from repro.engine.backend import (
     BACKEND_CHOICES,
     ArrayBackend,
     BackendUnavailableError,
-    NumbaBackend,
     NumpyBackend,
     TorchBackend,
     active_backend,
@@ -37,7 +35,6 @@ from repro.engine.backend import (
     backend_of,
     cuda_available,
     get_backend,
-    numba_available,
     resolve_backend,
     set_active_backend,
     torch_available,
@@ -51,7 +48,6 @@ __all__ = [
     "ChunkContext",
     "EvalPlan",
     "KernelProfiler",
-    "NumbaBackend",
     "NumpyBackend",
     "PROFILER",
     "ScratchArena",
@@ -62,9 +58,6 @@ __all__ = [
     "cuda_available",
     "drive_autotuned",
     "get_backend",
-    "numba_available",
-    "planning_disabled",
-    "planning_enabled",
     "resolve_backend",
     "set_active_backend",
     "torch_available",
@@ -74,8 +67,6 @@ __all__ = [
 _LAZY = {
     "ChunkContext": "repro.engine.plan",
     "EvalPlan": "repro.engine.plan",
-    "planning_disabled": "repro.engine.plan",
-    "planning_enabled": "repro.engine.plan",
     "PROFILER": "repro.engine.profile",
     "KernelProfiler": "repro.engine.profile",
     "ScratchArena": "repro.engine.arena",

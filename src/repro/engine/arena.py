@@ -21,7 +21,7 @@ Lifetime rules (the contract custom backends and consumers rely on):
   own its storage.  ``Slot._table`` / ``mask_table`` are built at plan
   freeze from regular allocations for this reason.
 * Backends *may* alias: ``out`` arguments (``horner_mod_bank``,
-  ``take``) are reuse hints.  Host backends (numpy, numba) write into
+  ``take``) are reuse hints.  The numpy backend writes into
   them; device backends (torch) ignore them and return freshly
   allocated tensors -- the arena detects that by simply not being
   enabled for non-host backends.
@@ -56,8 +56,8 @@ class ScratchArena:
     __slots__ = ("enabled", "hits", "misses", "_buffers")
 
     def __init__(self, backend: ArrayBackend):
-        # numba subclasses NumpyBackend, so both host paths share the
-        # arena; torch (CPU or CUDA) opts out.
+        # Host (numpy) backends share the arena; torch (CPU or CUDA)
+        # opts out.
         self.enabled = isinstance(backend, NumpyBackend)
         self.hits = 0
         self.misses = 0

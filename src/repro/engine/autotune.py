@@ -2,15 +2,14 @@
 
 The best ``StreamRunner`` chunk size depends on the machine and the
 backend: numpy wants chunks big enough to amortise per-call dispatch,
-the numba backend wants them big enough to amortise kernel launch and
-thread fork/join, and everything wants per-chunk scratch
+and everything wants per-chunk scratch
 (``branches x chunk_size`` reduction matrices) to stay in cache.  The
 historical default of 4096 is a reasonable middle but measurably wrong
 on some hosts in either direction.
 
 :func:`drive_autotuned` picks the size empirically *during the real
-pass*: it feeds a warm-up chunk (JIT compilation, plan freeze, cache
-warming all land there), then times a few probe chunks at each
+pass*: it feeds a warm-up chunk (plan freeze and cache warming land
+there), then times a few probe chunks at each
 candidate size, then finishes the stream at the fastest size observed.
 Every token is fed exactly once and in stream order -- the probing only
 moves chunk *boundaries*, which the :meth:`process_batch` contract

@@ -4,9 +4,8 @@ The plan layer (PR 5) reduced the whole hot loop to a handful of dense
 primitives: batched Horner passes over ``(B, degree)`` coefficient
 mega-banks, bincount scatters into sketch tables, stable sorts and
 gathers.  This module abstracts exactly that surface behind
-:class:`ArrayBackend` so the same branch tree can evaluate on numpy,
-on numba-compiled thread-parallel kernels, or on torch (CPU or CUDA)
-per chunk.
+:class:`ArrayBackend` so the same branch tree can evaluate on numpy or
+on torch (CPU or CUDA) per chunk.
 
 Contract
 --------
@@ -39,7 +38,6 @@ import numpy as np
 __all__ = [
     "ArrayBackend",
     "NumpyBackend",
-    "NumbaBackend",
     "TorchBackend",
     "BackendUnavailableError",
     "NUMPY",
@@ -53,13 +51,12 @@ __all__ = [
     "available_backends",
     "backend_of",
     "as_host",
-    "numba_available",
     "torch_available",
     "cuda_available",
 ]
 
 # Names accepted by :func:`get_backend` / the CLI ``--backend`` flag.
-BACKEND_CHOICES = ("auto", "numpy", "numba", "torch", "torch-cpu", "torch-cuda")
+BACKEND_CHOICES = ("auto", "numpy", "torch", "torch-cpu", "torch-cuda")
 
 
 class BackendUnavailableError(RuntimeError):
@@ -571,132 +568,6 @@ class TorchBackend(ArrayBackend):  # pragma: no cover - needs torch installed
         return self._torch.unique(items)
 
 
-class NumbaBackend(NumpyBackend):
-    """Compiled thread-parallel host backend (requires numba).
-
-    Arrays are ordinary host ndarrays -- ``from_host``/``to_host`` stay
-    the identity -- but the arithmetic kernels (Horner mega-bank passes,
-    weighted bincounts, table scatters, gathers, elementwise mod) run as
-    cached nopython kernels with ``prange`` intra-chunk parallelism
-    (:mod:`repro.engine._numba_kernels`).  Threads share sketch state
-    in-process, so unlike the sharded executors there is no plan
-    rebuild, state shipping, or merge step to amortise.
-
-    The structural primitives (stable sorts, lexsort, searchsorted, the
-    ``unique`` family) deliberately stay on numpy: those are already
-    single C calls, and a nopython reimplementation would have to
-    re-prove numpy's stable-sort semantics for no measurable win.  The
-    parity suites cover the whole surface either way.
-
-    Bit-identity with the numpy reference is exact, not approximate:
-    int64 modular arithmetic in the same operation order, and integer
-    scatter accumulation (associative) instead of the float64 detour.
-    """
-
-    name = "numba"
-    device = "cpu"
-    is_gpu = False
-
-    def __init__(self):
-        kernels = _numba_kernels_module()
-        if kernels is None:
-            raise BackendUnavailableError(
-                "numba backend requested but numba is not importable"
-            )
-        super().__init__()
-        self._kernels = kernels
-
-    # -- thread control -------------------------------------------------
-    @property
-    def threads(self) -> int:
-        """Threads the parallel kernels currently fan out over."""
-        return self._kernels.get_threads()
-
-    def set_threads(self, n: int) -> int:
-        """Set the kernel thread count (clamped to the pool size)."""
-        return self._kernels.set_threads(n)
-
-    def max_threads(self) -> int:
-        return self._kernels.max_threads()
-
-    def warmup(self) -> None:
-        """Force kernel compilation now (no-op once disk-cached)."""
-        self._kernels.warmup()
-
-    def describe(self) -> str:
-        return f"{self.name} ({self.device}, {self.threads} threads)"
-
-    # -- compiled kernels ------------------------------------------------
-    def horner_mod_bank(self, coeffs, xs, modulus, ranges=None, out=None):
-        coeffs = np.ascontiguousarray(coeffs)
-        xs = np.asarray(xs, dtype=np.int64)
-        if out is None:
-            out = np.empty((coeffs.shape[0], len(xs)), dtype=np.int64)
-        if ranges is None:
-            self._kernels.horner_mod_bank(coeffs, xs, int(modulus), out)
-        else:
-            self._kernels.horner_mod_bank_ranged(
-                coeffs,
-                xs,
-                int(modulus),
-                np.ascontiguousarray(ranges).reshape(-1),
-                out,
-            )
-        return out
-
-    def horner_mod(self, coeffs, xs, modulus, range_size=None):
-        xs = np.asarray(xs, dtype=np.int64)
-        out = np.empty(len(xs), dtype=np.int64)
-        self._kernels.horner_mod(
-            np.ascontiguousarray(np.asarray(coeffs, dtype=np.int64)),
-            xs,
-            int(modulus),
-            -1 if range_size is None else int(range_size),
-            out,
-        )
-        return out
-
-    def bincount(self, x, minlength, weights=None):
-        if weights is None:
-            return np.bincount(x, minlength=minlength).astype(np.int64)
-        out = np.zeros(minlength, dtype=np.int64)
-        self._kernels.bincount_weighted(
-            np.ascontiguousarray(x), np.ascontiguousarray(weights), out
-        )
-        return out
-
-    def bincount_scatter(self, table, buckets, values, factor):
-        # One compiled per-row scatter covers both of the numpy
-        # reference's branches (flat bincount / np.add.at); integer
-        # addition commutes, so the table ends up bit-identical.
-        self._kernels.scatter_rows(
-            table,
-            np.ascontiguousarray(buckets),
-            np.ascontiguousarray(values),
-        )
-
-    def mod(self, a, m):
-        if (
-            isinstance(a, np.ndarray)
-            and a.ndim == 1
-            and isinstance(m, (int, np.integer))
-        ):
-            out = np.empty(a.shape[0], dtype=np.int64)
-            self._kernels.mod_into(a, int(m), out)
-            return out
-        return a % m
-
-    def take(self, a, idx, out=None):
-        # The compiled gather is positional; boolean masks (and any
-        # multi-dimensional form) fall through to numpy's indexing.
-        if a.ndim == 1 and idx.ndim == 1 and idx.dtype != np.bool_:
-            if out is None:
-                out = np.empty(idx.shape[0], dtype=a.dtype)
-            self._kernels.take_into(a, idx, out)
-            return out
-        return super().take(a, idx, out=out)
-
-
 # -- registry and active-backend machinery ----------------------------------
 
 NUMPY = NumpyBackend()
@@ -707,40 +578,7 @@ HOST = NUMPY
 _TORCH_MODULE = None
 _TORCH_CHECKED = False
 _TORCH_BACKENDS: dict = {}
-_NUMBA_KERNELS = None
-_NUMBA_CHECKED = False
-_NUMBA_BACKEND = None
 _ACTIVE: ArrayBackend = NUMPY
-
-
-def _numba_kernels_module():
-    """Import the compiled-kernel module lazily, once; ``None`` if absent.
-
-    Any import failure (numba missing, unsupported llvmlite, broken
-    threading layer) means "backend unavailable", never a crash: numba
-    is an optional accelerator exactly like torch.
-    """
-    global _NUMBA_KERNELS, _NUMBA_CHECKED
-    if not _NUMBA_CHECKED:
-        _NUMBA_CHECKED = True
-        try:
-            from repro.engine import _numba_kernels
-        except Exception:
-            _NUMBA_KERNELS = None
-        else:
-            _NUMBA_KERNELS = _numba_kernels
-    return _NUMBA_KERNELS
-
-
-def numba_available() -> bool:
-    return _numba_kernels_module() is not None
-
-
-def _numba_backend() -> "NumbaBackend":
-    global _NUMBA_BACKEND
-    if _NUMBA_BACKEND is None:
-        _NUMBA_BACKEND = NumbaBackend()
-    return _NUMBA_BACKEND
 
 
 def _torch_module():
@@ -778,19 +616,15 @@ def get_backend(name: str) -> ArrayBackend:
     """Resolve a backend name (see :data:`BACKEND_CHOICES`).
 
     ``auto`` picks the fastest backend that can run here: CUDA when
-    torch sees a device, else the compiled numba kernels when numba is
-    importable, else numpy (a torch-CPU pass exists for parity testing,
-    not speed); ``torch`` auto-selects the device; explicit names raise
-    :class:`BackendUnavailableError` when they cannot run here.
+    torch sees a device, else numpy (a torch-CPU pass exists for parity
+    testing, not speed); ``torch`` auto-selects the device; explicit
+    names raise :class:`BackendUnavailableError` when they cannot run
+    here.
     """
     if name in ("numpy", "host"):
         return NUMPY
     if name == "auto":
-        if cuda_available():
-            return _torch_backend("cuda")
-        return _numba_backend() if numba_available() else NUMPY
-    if name == "numba":
-        return _numba_backend()
+        return _torch_backend("cuda") if cuda_available() else NUMPY
     if name == "torch":
         return _torch_backend("cuda" if cuda_available() else "cpu")
     if name == "torch-cpu":
@@ -809,8 +643,6 @@ def available_backends() -> list:
     suites compare every other backend against it.
     """
     names = ["numpy"]
-    if numba_available():
-        names.append("numba")
     if torch_available():
         names.append("torch-cpu")
     if cuda_available():
@@ -852,12 +684,9 @@ def use_backend(spec):
 def backend_of(a) -> ArrayBackend:
     """The backend an array belongs to (flows with the data).
 
-    Host ndarrays belong to the *active host backend*: under
-    ``use_backend("numba")`` the data-driven dispatch in the sketch
-    kernels picks up the compiled scatters and Horner passes without
-    any plumbing changes, while device tensors keep routing to their
-    own backend.  When the active backend is not a host backend (torch)
-    the reference numpy backend handles host arrays, exactly as before.
+    Host ndarrays belong to the active backend when that is a host
+    backend (a :class:`NumpyBackend`, subclasses included), else to the
+    numpy reference; device tensors route to their own backend.
     """
     if isinstance(a, np.ndarray):
         if isinstance(_ACTIVE, NumpyBackend):

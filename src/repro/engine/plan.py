@@ -38,8 +38,6 @@ plan on the next chunk it processes.
 
 from __future__ import annotations
 
-import contextlib
-
 from repro.engine.arena import ScratchArena
 from repro.engine.backend import resolve_backend
 from repro.engine.profile import PROFILER
@@ -51,34 +49,12 @@ __all__ = [
     "Slot",
     "EvalPlan",
     "ChunkContext",
-    "planning_enabled",
-    "planning_disabled",
 ]
 
 #: Largest domain for which a slot precomputes a full value table.
 #: Above the cap the slot joins a per-chunk mega-bank instead, so huge
 #: universes degrade gracefully to the fused-Horner path.
 TABLE_DOMAIN_CAP = 1 << 16
-
-_PLANNING = True
-
-
-def planning_enabled() -> bool:
-    """Whether composites should build and use fused evaluation plans."""
-    return _PLANNING
-
-
-@contextlib.contextmanager
-def planning_disabled():
-    """Force the legacy unplanned batch path (equivalence tests)."""
-    global _PLANNING
-    previous = _PLANNING
-    _PLANNING = False
-    try:
-        yield
-    finally:
-        _PLANNING = previous
-
 
 class Column:
     """A symbolic chunk column hashes are evaluated against.
@@ -317,7 +293,7 @@ class EvalPlan:
         Table gathers index directly by raw column values, so a chunk
         containing values outside the declared ``[0, domain)`` bounds
         (possible only for streams that violate the model's known-(m, n)
-        assumption) falls back to the legacy unplanned path.
+        assumption) is left to the caller's scalar reference loop.
         """
         self.freeze()
         if len(set_ids) and not self._in_domain(set_ids, elements):

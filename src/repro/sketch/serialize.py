@@ -39,7 +39,16 @@ __all__ = [
     "load_state",
     "dumps_state",
     "loads_state",
+    "ORDER_FREE_KEYS",
+    "state_difference",
 ]
+
+#: Last path components of state keys that list lazily created
+#: sub-sketch ids (``LargeSet`` supersets, ``ReportingLargeCommon``
+#: groups) in first-seen order.  That order depends on batching
+#: granularity -- a scalar pass sees arrival order, a batch sees sorted
+#: unique ids -- while each sub-sketch's own arrays do not.
+ORDER_FREE_KEYS = ("l0_sids", "gids")
 
 
 def _l0_state(sketch: L0Sketch) -> dict:
@@ -219,3 +228,26 @@ def dumps_state(algo) -> bytes:
 def loads_state(algo, blob: bytes):
     """In-memory :func:`load_state`; returns ``algo``."""
     return load_state(algo, io.BytesIO(blob))
+
+
+def state_difference(left, right, order_free=ORDER_FREE_KEYS) -> str | None:
+    """Key of the first differing array of two ``state_arrays()`` dicts,
+    or ``None`` when they are equal.
+
+    Arrays are equal when dtype and bytes match.  Arrays whose key ends
+    in a component listed in ``order_free`` are compared sorted, and
+    then the key sets (not the key order) must match.  With
+    ``order_free=()`` the check is exact, key order included.
+    """
+    same_keys = (
+        left.keys() == right.keys() if order_free else list(left) == list(right)
+    )
+    if not same_keys:
+        return "<keys>"
+    for key in left:
+        a, b = np.asarray(left[key]), np.asarray(right[key])
+        if key.rsplit("/", 1)[-1] in order_free:
+            a, b = np.sort(a, axis=None), np.sort(b, axis=None)
+        if a.dtype != b.dtype or a.shape != b.shape or a.tobytes() != b.tobytes():
+            return key
+    return None

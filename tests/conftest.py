@@ -2,17 +2,29 @@
 
 from __future__ import annotations
 
+from functools import partial
+from typing import NamedTuple
+
+import numpy as np
 import pytest
 
 from repro.engine.backend import available_backends, use_backend
 
 from repro import (
     EdgeStream,
+    EstimateMaxCover,
     Parameters,
     SetSystem,
+    StreamRunner,
     common_heavy,
     few_large_sets,
     planted_cover,
+)
+from repro.streams.adversary import (
+    duplicate_flood,
+    fragmented,
+    noise_first,
+    signal_first,
 )
 
 
@@ -70,6 +82,54 @@ def planted_stream(planted_workload) -> EdgeStream:
     return EdgeStream.from_system(
         planted_workload.system, order="random", seed=7
     )
+
+
+@pytest.fixture(scope="session")
+def adversarial_streams(planted_workload) -> dict[str, EdgeStream]:
+    """``planted_workload`` in the four adversarial arrival orders plus
+    the seeded random order of ``planted_stream``."""
+    return {
+        "noise_first": noise_first(planted_workload, seed=3),
+        "signal_first": signal_first(planted_workload, seed=3),
+        "duplicate_flood": duplicate_flood(planted_workload, seed=3),
+        "fragmented": fragmented(planted_workload),
+        "random": EdgeStream.from_system(
+            planted_workload.system, order="random", seed=7
+        ),
+    }
+
+
+@pytest.fixture(scope="session")
+def planted_estimator(planted_workload):
+    """Factory for the estimator that :func:`scalar_runs` replays."""
+    system = planted_workload.system
+    return partial(
+        EstimateMaxCover, m=system.m, n=system.n, k=6, alpha=3.0, seed=7
+    )
+
+
+class ScalarRun(NamedTuple):
+    """What a scalar-path (reference) pass left behind."""
+
+    state: dict
+    space_words: int
+    estimate: float
+
+
+@pytest.fixture(scope="session")
+def scalar_runs(adversarial_streams, planted_estimator) -> dict[str, ScalarRun]:
+    """One scalar ``planted_estimator`` pass per arrival order.
+
+    Scalar replays cost milliseconds a token, so every suite comparing
+    against the reference shares these instead of re-running them.
+    """
+    runs = {}
+    for name, stream in adversarial_streams.items():
+        algo = planted_estimator()
+        StreamRunner(path="scalar").run(algo, stream)
+        state = {key: np.array(a) for key, a in algo.state_arrays().items()}
+        runs[name] = ScalarRun(state, algo.space_words(), algo.estimate())
+    return runs
 
 
 @pytest.fixture()

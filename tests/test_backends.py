@@ -17,6 +17,8 @@ Three layers of guarantee, from primitives up to whole runs:
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -35,7 +37,6 @@ from repro.engine.backend import (
     cuda_available,
     get_backend,
     is_backend_array,
-    numba_available,
     resolve_backend,
     torch_available,
     use_backend,
@@ -245,16 +246,11 @@ class TestRegistry:
             try:
                 backend = get_backend(name)
             except BackendUnavailableError:
-                assert (
-                    name.startswith("torch")
-                    or name == "cuda"
-                    or name == "numba"
-                )
+                assert name.startswith("torch") or name == "cuda"
             else:
-                assert backend.name in (
-                    "numpy",
-                    "numba",
-                ) or backend.name.startswith("torch")
+                assert backend.name == "numpy" or backend.name.startswith(
+                    "torch"
+                )
 
     def test_unknown_name_raises_value_error(self):
         with pytest.raises(ValueError):
@@ -262,35 +258,13 @@ class TestRegistry:
 
     def test_available_matches_probes(self):
         names = available_backends()
-        assert ("numba" in names) == numba_available()
         assert ("torch-cpu" in names) == torch_available()
         assert ("torch-cuda" in names) == cuda_available()
-
-    def test_numba_unavailable_raises_without_numba(self):
-        if numba_available():
-            pytest.skip("numba importable here; unavailability not testable")
-        with pytest.raises(BackendUnavailableError):
-            get_backend("numba")
-
-    def test_numba_resolves_when_importable(self):
-        if not numba_available():
-            pytest.skip("numba not importable here")
-        backend = get_backend("numba")
-        assert backend is get_backend("numba")  # cached singleton
-        assert backend.name == "numba"
-        assert not backend.is_gpu
-        # Thread control clamps to the pool and reports what it set.
-        assert backend.set_threads(1) == 1
-        assert backend.threads == 1
-        assert backend.set_threads(10**6) == backend.max_threads()
-        assert "threads" in backend.describe()
 
     def test_auto_prefers_fastest_runnable_host_backend(self):
         backend = get_backend("auto")
         if cuda_available():
             assert backend.name == "torch-cuda"
-        elif numba_available():
-            assert backend.name == "numba"
         else:
             assert backend is NUMPY
 
@@ -324,6 +298,10 @@ def _workload_arrays():
     workload = planted_cover(n=120, m=60, k=4, coverage_frac=0.9, seed=5)
     stream = EdgeStream.from_system(workload.system, order="random", seed=9)
     return workload.system, stream
+
+
+# Module-level so a real worker pool can pickle it.
+_ESTIMATOR = partial(EstimateMaxCover, m=60, n=120, k=4, alpha=3.0, seed=7)
 
 
 def _run_estimator(system, stream, backend_name, chunk_size=64):
@@ -404,15 +382,10 @@ class TestRunnerPlumbing:
         from repro.parallel.sharded import ShardedStreamRunner
 
         system, stream = _workload_arrays()
+        assert (system.m, system.n) == (60, 120)
         runner = ShardedStreamRunner(
             workers="auto", chunk_size=256, array_backend="numpy"
         )
-
-        def factory():
-            return EstimateMaxCover(
-                m=system.m, n=system.n, k=4, alpha=3.0, seed=7
-            )
-
-        _algo, report = runner.run(factory, stream)
+        _algo, report = runner.run(_ESTIMATOR, stream)
         assert report.fallback != "gpu_single_pass"
         assert report.backend == "numpy"

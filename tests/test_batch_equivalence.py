@@ -10,14 +10,17 @@ whole-stream and demands exact equality with the per-token run.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 import pytest
 
-from repro import EstimateMaxCover
+from repro import EstimateMaxCover, MaxCoverReporter
 from repro.core.large_common import LargeCommon
 from repro.core.large_set import LargeSet
 from repro.core.oracle import Oracle
 from repro.core.small_set import SmallSet
+from repro.sketch.serialize import state_difference
 
 CHUNK_SIZES = (1, 7, 4096, None)  # None = the whole stream in one call
 
@@ -44,6 +47,20 @@ def _stream_arrays(planted_stream):
 @pytest.fixture(scope="module")
 def arrays(planted_stream):
     return planted_stream.as_arrays()
+
+
+@pytest.fixture(scope="module")
+def planted_reporter(planted_workload):
+    system = planted_workload.system
+    return partial(
+        MaxCoverReporter, m=system.m, n=system.n, k=6, alpha=3.0, seed=13
+    )
+
+
+@pytest.fixture(scope="module")
+def scalar_reporter(planted_reporter, arrays):
+    """Scalar-path reference reporter over ``arrays``, run once."""
+    return _replay_scalar(planted_reporter(), *arrays)
 
 
 class TestEstimateMaxCover:
@@ -139,18 +156,19 @@ class TestChunkingInvariance:
 
 
 class TestPlannedEquivalence:
-    """The fused evaluation plan is bit-identical to the legacy path.
+    """The fused evaluation plan is bit-identical to the scalar reference.
 
     The plan layer (``repro.engine.plan``) collects every hash family in
     the composite tree, evaluates deduplicated mega-banks once per
     chunk, and hands memoised columns to each branch.  None of that may
     change a single bit: for every chunking and every adversarial
-    arrival order, the planned run must equal the unplanned run in its
-    final estimate *and* its complete serialised state.
+    arrival order, the planned run must equal the per-token ``process``
+    run in its final answer, its ``space_words`` *and* its complete
+    serialised state.
 
     The planned pass is parametrised over every available array backend
-    (``array_backend`` fixture) while the unplanned reference is pinned
-    to numpy, so the state comparison doubles as the cross-backend
+    (``array_backend`` fixture) while the scalar reference runs on host
+    ints, so the state comparison doubles as the cross-backend
     byte-identity guarantee: a torch run must serialise to exactly the
     bytes the numpy run does.
     """
@@ -158,137 +176,60 @@ class TestPlannedEquivalence:
     PLAN_CHUNKS = (1, 7, 64, 8192)
 
     @staticmethod
-    def _orders(planted_workload):
-        from repro.streams.adversary import (
-            duplicate_flood,
-            fragmented,
-            noise_first,
-            signal_first,
-        )
-        from repro import EdgeStream
-
-        return {
-            "noise_first": noise_first(planted_workload, seed=3),
-            "signal_first": signal_first(planted_workload, seed=3),
-            "duplicate_flood": duplicate_flood(planted_workload, seed=3),
-            "fragmented": fragmented(planted_workload),
-            "random": EdgeStream.from_system(
-                planted_workload.system, order="random", seed=7
-            ),
-        }
+    def _assert_same_state(planned, state, space_words):
+        # ``state_difference`` compares the per-superset / per-group id
+        # lists (``l0_sids``, ``gids``) as sets: their first-seen order
+        # depends on batching granularity, the sketches they name do not.
+        assert state_difference(planned.state_arrays(), state) is None
+        assert planned.space_words() == space_words
 
     @staticmethod
-    def _assert_same_state(planned, unplanned):
-        planned_state = planned.state_arrays()
-        unplanned_state = unplanned.state_arrays()
-        assert planned_state.keys() == unplanned_state.keys()
-        for key in planned_state:
-            assert np.array_equal(
-                planned_state[key], unplanned_state[key]
-            ), key
-
-    def _run_both(self, make, set_ids, elements, chunk_size, backend=None):
+    def _planned(make, set_ids, elements, chunk_size, backend):
         from repro.engine.backend import use_backend
-        from repro.engine.plan import planning_disabled
 
         with use_backend(backend):
-            planned = _replay_chunked(make(), set_ids, elements, chunk_size)
-        # The reference is always the unplanned numpy run, so comparing
-        # states also proves cross-backend bit-identity.
-        with use_backend("numpy"), planning_disabled():
-            unplanned = _replay_chunked(
-                make(), set_ids, elements, chunk_size
-            )
-        return planned, unplanned
+            return _replay_chunked(make(), set_ids, elements, chunk_size)
 
     @pytest.mark.parametrize("chunk_size", PLAN_CHUNKS)
     def test_estimator_state_bit_identical(
-        self, planted_workload, arrays, chunk_size, array_backend
+        self, planted_estimator, scalar_runs, arrays, chunk_size, array_backend
     ):
-        system = planted_workload.system
-
-        def make():
-            return EstimateMaxCover(
-                m=system.m, n=system.n, k=6, alpha=3.0, seed=5
-            )
-
+        # ``arrays`` is the random order ``scalar_runs`` replayed.
+        scalar = scalar_runs["random"]
         set_ids, elements = arrays
-        planned, unplanned = self._run_both(
-            make, set_ids, elements, chunk_size, array_backend
+        planned = self._planned(
+            planted_estimator, set_ids, elements, chunk_size, array_backend
         )
-        self._assert_same_state(planned, unplanned)
-        assert planned.estimate() == unplanned.estimate()
+        self._assert_same_state(planned, scalar.state, scalar.space_words)
+        assert planned.estimate() == scalar.estimate
 
     @pytest.mark.parametrize("chunk_size", PLAN_CHUNKS)
     def test_reporter_solution_bit_identical(
-        self, planted_workload, arrays, chunk_size, array_backend
+        self, planted_reporter, scalar_reporter, arrays, chunk_size,
+        array_backend,
     ):
-        from repro import MaxCoverReporter
-
-        system = planted_workload.system
-
-        def make():
-            return MaxCoverReporter(
-                m=system.m, n=system.n, k=6, alpha=3.0, seed=13
-            )
-
         set_ids, elements = arrays
-        planned, unplanned = self._run_both(
-            make, set_ids, elements, chunk_size, array_backend
+        planned = self._planned(
+            planted_reporter, set_ids, elements, chunk_size, array_backend
         )
-        self._assert_same_state(planned, unplanned)
-        assert planned.solution() == unplanned.solution()
+        self._assert_same_state(
+            planned, scalar_reporter.state_arrays(),
+            scalar_reporter.space_words(),
+        )
+        assert planned.solution() == scalar_reporter.solution()
 
-    def test_every_arrival_order(self, planted_workload, array_backend):
-        system = planted_workload.system
-
-        def make():
-            return EstimateMaxCover(
-                m=system.m, n=system.n, k=6, alpha=3.0, seed=5
-            )
-
-        for name, stream in self._orders(planted_workload).items():
-            set_ids, elements = stream.as_arrays()
-            planned, unplanned = self._run_both(
-                make, set_ids, elements, 64, array_backend
-            )
-            self._assert_same_state(planned, unplanned)
-            assert planned.estimate() == unplanned.estimate(), name
-
-    def test_planned_matches_scalar_reference(
-        self, planted_workload, arrays, array_backend
+    def test_every_arrival_order(
+        self, planted_estimator, adversarial_streams, scalar_runs,
+        array_backend,
     ):
-        """The plan is also identical to the per-token reference path."""
-        from repro.engine.backend import use_backend
-
-        system = planted_workload.system
-
-        def make():
-            return EstimateMaxCover(
-                m=system.m, n=system.n, k=6, alpha=3.0, seed=5
+        for name, stream in adversarial_streams.items():
+            scalar = scalar_runs[name]
+            set_ids, elements = stream.as_arrays()
+            planned = self._planned(
+                planted_estimator, set_ids, elements, 64, array_backend
             )
-
-        set_ids, elements = arrays
-        scalar = _replay_scalar(make(), set_ids, elements)
-        with use_backend(array_backend):
-            planned = _replay_chunked(make(), set_ids, elements, 64)
-        planned_state = planned.state_arrays()
-        scalar_state = scalar.state_arrays()
-        assert planned_state.keys() == scalar_state.keys()
-        for key in planned_state:
-            left, right = planned_state[key], scalar_state[key]
-            if key.endswith("l0_sids"):
-                # Lazily-created per-superset sketches are keyed by a
-                # dict whose insertion order depends on batching
-                # granularity (scalar sees arrival order, a batch sees
-                # sorted unique ids) -- a pre-existing artifact of the
-                # batched path, orthogonal to the plan layer.  The
-                # sketch *contents* (asserted below, per sid) are
-                # identical.
-                assert sorted(left.tolist()) == sorted(right.tolist()), key
-            else:
-                assert np.array_equal(left, right), key
-        assert planned.estimate() == scalar.estimate()
+            self._assert_same_state(planned, scalar.state, scalar.space_words)
+            assert planned.estimate() == scalar.estimate, name
 
 
 class TestEvictionPressure:
@@ -335,3 +276,73 @@ class TestEvictionPressure:
         assert np.array_equal(
             chunked._sketch._table, scalar._sketch._table
         )
+
+
+class TestOutOfDomainFallback:
+    """Chunks with ids outside the declared ``[0, m)`` / ``[0, n)``.
+
+    The fused plan's table gathers index by raw ids, so such a chunk is
+    routed through the scalar reference loop instead; the resulting
+    state must be byte-identical to feeding the same tokens one at a
+    time through ``process``.
+    """
+
+    PREFIX = 300
+
+    def _chunk(self, system, arrays):
+        set_ids, elements = arrays
+        # One set id >= m and one element >= n, mid-chunk.
+        extra_sets = np.array([system.m, 0, system.m + 3], dtype=np.int64)
+        extra_elems = np.array([0, system.n, system.n + 5], dtype=np.int64)
+        half = self.PREFIX // 2
+        return (
+            np.concatenate(
+                (set_ids[:half], extra_sets, set_ids[half : self.PREFIX])
+            ),
+            np.concatenate(
+                (elements[:half], extra_elems, elements[half : self.PREFIX])
+            ),
+        )
+
+    def _check(self, make, set_ids, elements):
+        batched = make()
+        batched.process_batch(set_ids, elements)
+        scalar = _replay_scalar(make(), set_ids, elements)
+        assert state_difference(
+            batched.state_arrays(), scalar.state_arrays(), order_free=()
+        ) is None
+        assert batched.tokens_seen == scalar.tokens_seen == len(set_ids)
+        return batched, scalar
+
+    def test_estimator(self, planted_workload, arrays):
+        system = planted_workload.system
+        set_ids, elements = self._chunk(system, arrays)
+        batched, scalar = self._check(
+            lambda: EstimateMaxCover(
+                m=system.m, n=system.n, k=6, alpha=3.0, seed=5
+            ),
+            set_ids,
+            elements,
+        )
+        assert batched.estimate() == scalar.estimate()
+
+    def test_reporter(self, planted_workload, arrays):
+        from repro import MaxCoverReporter
+
+        system = planted_workload.system
+        set_ids, elements = self._chunk(system, arrays)
+        batched, scalar = self._check(
+            lambda: MaxCoverReporter(
+                m=system.m, n=system.n, k=6, alpha=3.0, seed=13
+            ),
+            set_ids,
+            elements,
+        )
+        assert batched.solution() == scalar.solution()
+
+    def test_standalone_oracle(self, planted_workload, practical_params, arrays):
+        set_ids, elements = self._chunk(planted_workload.system, arrays)
+        batched, scalar = self._check(
+            lambda: Oracle(practical_params, seed=5), set_ids, elements
+        )
+        assert batched.estimate() == scalar.estimate()

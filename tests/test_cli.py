@@ -152,7 +152,6 @@ class TestBench:
         out = capsys.readouterr().out
         assert "tokens:" in out
         assert "throughput:" in out
-        assert "plan: fused" in out
         assert "profile" not in out
 
     def test_bench_profile_breakdown(self, stream_file, capsys):
@@ -168,15 +167,3 @@ class TestBench:
 
         main(["bench", stream_file, "--k", "5", "--profile"])
         assert not PROFILER.enabled
-
-    def test_bench_no_plan_matches_fused(self, stream_file, capsys):
-        main(["bench", stream_file, "--k", "5"])
-        fused = capsys.readouterr().out
-        main(["bench", stream_file, "--k", "5", "--no-plan"])
-        legacy = capsys.readouterr().out
-        pick = lambda text, tag: [  # noqa: E731
-            line for line in text.splitlines() if line.startswith(tag)
-        ]
-        assert pick(fused, "estimate:") == pick(legacy, "estimate:")
-        assert pick(fused, "space_words:") == pick(legacy, "space_words:")
-        assert "plan: disabled" in legacy

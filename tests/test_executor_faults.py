@@ -37,6 +37,7 @@ from repro import (
     StreamRunner,
     planted_cover,
 )
+from repro.sketch.serialize import state_difference
 
 pytestmark = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -124,8 +125,6 @@ class TestCrashRecovery:
         """One worker SIGKILLed mid-shard: the pool respawns it, replays
         the shard, and the merged answer is bit-identical to a healthy
         run (replay starts from the fresh worker's pristine state)."""
-        import numpy as np
-
         monkeypatch.setenv(_FLAG_ENV, str(tmp_path / "kill.flag"))
         factory = partial(
             _KillOnceAlgo, m=M, n=N, k=K, alpha=ALPHA, seed=7
@@ -146,19 +145,9 @@ class TestCrashRecovery:
 
         healthy = FACTORY()
         StreamRunner(path="scalar").run(healthy, stream)
-        merged_state = merged.state_arrays()
-        healthy_state = healthy.state_arrays()
-        assert merged_state.keys() == healthy_state.keys()
-        for key in merged_state:
-            if key.endswith(("l0_sids", "gids")):
-                assert sorted(np.asarray(merged_state[key]).tolist()) == sorted(
-                    np.asarray(healthy_state[key]).tolist()
-                ), key
-            else:
-                assert np.array_equal(
-                    np.asarray(merged_state[key]),
-                    np.asarray(healthy_state[key]),
-                ), key
+        assert state_difference(
+            merged.state_arrays(), healthy.state_arrays()
+        ) is None
 
     def test_pool_reusable_after_recovery(
         self, stream, reference, tmp_path, monkeypatch

@@ -34,6 +34,7 @@ from repro import (
     ShardedStreamRunner,
     StreamRunner,
 )
+from repro.sketch.serialize import ORDER_FREE_KEYS, state_difference
 from repro.streams.adversary import noise_first, signal_first
 
 M, N, K, ALPHA = 150, 300, 6, 3.0
@@ -41,13 +42,6 @@ SHARD_COUNTS = (1, 2, 3, 5)
 
 ESTIMATOR = partial(EstimateMaxCover, m=M, n=N, k=K, alpha=ALPHA, seed=7)
 REPORTER = partial(MaxCoverReporter, m=M, n=N, k=K, alpha=ALPHA, seed=13)
-
-# State keys whose *dict iteration order* depends on batching
-# granularity (first-seen order of per-superset sketches).  The sets
-# are always equal and the per-sid payloads are compared exactly via
-# the per-run-runner comparison; the scalar-reference digest sorts
-# them so ordering artifacts don't mask real divergence.
-_ORDER_FREE_BASENAMES = ("l0_sids", "gids")
 
 
 def state_digest(algo) -> str:
@@ -57,7 +51,7 @@ def state_digest(algo) -> str:
     state = algo.state_arrays()
     for key in sorted(state):
         array = np.asarray(state[key])
-        if key.rsplit(".", 1)[-1].rsplit("/", 1)[-1] in _ORDER_FREE_BASENAMES:
+        if key.rsplit("/", 1)[-1] in ORDER_FREE_KEYS:
             array = np.sort(array, axis=None)
         digest.update(key.encode())
         digest.update(str(array.dtype).encode())
@@ -67,13 +61,9 @@ def state_digest(algo) -> str:
 
 def assert_states_identical(left, right) -> None:
     """Full bit-exact comparison (no order canonicalisation)."""
-    left_state = left.state_arrays()
-    right_state = right.state_arrays()
-    assert left_state.keys() == right_state.keys()
-    for key in left_state:
-        assert np.array_equal(
-            np.asarray(left_state[key]), np.asarray(right_state[key])
-        ), key
+    assert state_difference(
+        left.state_arrays(), right.state_arrays(), order_free=()
+    ) is None
 
 
 @pytest.fixture(scope="module")
