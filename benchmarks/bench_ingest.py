@@ -183,26 +183,16 @@ def test_dispatch_table(dispatch_stream, tmp_path, save_table):
     single_report = StreamRunner(chunk_size=4096).run(single, stream)
     reference = single.estimate()
 
-    # One single-pass row per runnable array backend, each the median of
-    # RUNS timed passes; every backend must reproduce the numpy estimate
-    # exactly (the backend layer is an execution strategy, never a
-    # different algorithm).
-    from repro.engine.backend import available_backends
-
-    def _pass_rate(backend_name):
+    # The single-pass row is the median of RUNS timed passes, each of
+    # which must reproduce the reference estimate exactly.
+    def _pass_rate():
         algo = factory()
-        report = StreamRunner(
-            chunk_size=4096, array_backend=backend_name
-        ).run(algo, stream)
-        assert algo.estimate() == reference, backend_name
+        report = StreamRunner(chunk_size=4096).run(algo, stream)
+        assert algo.estimate() == reference
         return report.tokens_per_sec
 
-    backend_rows: dict = {}
-    noise_rows: dict = {}
-    for backend_name in available_backends():
-        rate, noise_pct = _median_rate(partial(_pass_rate, backend_name))
-        backend_rows[backend_name] = int(rate)
-        noise_rows[backend_name] = round(noise_pct, 1)
+    single_rate, noise_pct = _median_rate(_pass_rate)
+    single_rate = int(single_rate)
 
     table = ResultTable(
         ["dispatch", "stream", "payload bytes", "tokens/sec", "estimate"],
@@ -215,16 +205,12 @@ def test_dispatch_table(dispatch_stream, tmp_path, save_table):
         "workers": 2,
         "cpu_count": os.cpu_count(),
         "runs": RUNS,
-        "noise_pct": noise_rows,
-        "single_pass_tokens_per_sec": backend_rows["numpy"],
-        "backend_tokens_per_sec": backend_rows,
+        "noise_pct": round(noise_pct, 1),
+        "single_pass_tokens_per_sec": single_rate,
         "dispatch_bytes": {},
         "sharded_tokens_per_sec": {},
     }
-    for backend_name, rate in backend_rows.items():
-        table.add_row(
-            f"single ({backend_name})", "full", 0, rate, round(reference, 1)
-        )
+    table.add_row("single", "full", 0, single_rate, round(reference, 1))
 
     cases = [
         ("pickle", stream, "full"),

@@ -27,8 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.engine.backend import is_backend_array, resolve_backend, use_backend
-
 __all__ = [
     "StreamConsumedError",
     "MergeIncompatibleError",
@@ -143,12 +141,7 @@ class StreamingAlgorithm(abc.ABC):
         vectorised kernels; the default falls back to the scalar path.
         """
         self._check_open()
-        # Backend arrays (device tensors included) pass through as-is;
-        # everything else is normalised to int64 ndarrays.
-        arrays = [
-            c if is_backend_array(c) else np.asarray(c, dtype=np.int64)
-            for c in columns
-        ]
+        arrays = [np.asarray(c, dtype=np.int64) for c in columns]
         if not arrays or len(arrays[0]) == 0:
             return self
         length = len(arrays[0])
@@ -357,6 +350,26 @@ class SetArrivalAlgorithm(abc.ABC):
         """Machine words retained across arrivals."""
 
 
+def check_positive_int(name: str, value, auto: bool = False) -> int:
+    """``value`` as an ``int``, provided it is an integer ``>= 1``.
+
+    The one validator for the runners' size parameters (``chunk_size``,
+    ``workers``).  Python and numpy integers pass.  Anything else --
+    ``bool``, ``float``, ``str`` -- raises :class:`ValueError` naming
+    ``name``: ``int()`` would silently turn ``True`` into 1 and
+    ``4096.9`` into 4096.  ``auto=True`` adds the ``'auto'`` spelling to
+    the message, for parameters whose callers resolve that string.
+    """
+    if isinstance(value, (bool, np.bool_)) or not isinstance(
+        value, (int, np.integer)
+    ):
+        expected = "a positive int or 'auto'" if auto else "a positive int"
+        raise ValueError(f"{name} must be {expected}, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class RunReport:
     """Timing summary returned by :meth:`StreamRunner.run`.
@@ -375,9 +388,6 @@ class RunReport:
         The chunk size the pass ran with.  For an autotuned run
         (``StreamRunner(chunk_size="auto")``) this is the size the
         tuner settled on, not the probe sizes.
-    backend:
-        Name of the array backend the pass ran under (``"numpy"``,
-        ``"torch-cpu"``, ``"torch-cuda"``).
     autotune:
         ``None`` for fixed-size runs; for autotuned runs, the tuner's
         probe table (see :meth:`repro.engine.autotune.AutotuneResult.report`).
@@ -388,7 +398,6 @@ class RunReport:
     seconds: float
     path: str
     chunk_size: int
-    backend: str = "numpy"
     autotune: dict | None = None
 
     @property
@@ -430,41 +439,24 @@ class StreamRunner:
         ``"vectorized"`` routes chunks through ``process_batch``;
         ``"scalar"`` replays the per-token ``process`` reference path
         (the implementation the equivalence tests trust).
-    array_backend:
-        Array backend the pass runs under: a name (``"numpy"``,
-        ``"torch"``, ``"auto"``), an :class:`~repro.engine.backend.ArrayBackend`
-        instance, or ``None`` to pin whatever backend is active when the
-        runner is constructed.  The whole drive loop executes with this
-        backend active, so lazily built evaluation plans pin it.
     """
 
     PATHS = ("vectorized", "scalar")
 
-    def __init__(
-        self,
-        chunk_size: int | str = 4096,
-        path: str = "vectorized",
-        array_backend=None,
-    ):
+    def __init__(self, chunk_size: int | str = 4096, path: str = "vectorized"):
         self.autotune = chunk_size == "auto"
         if self.autotune:
             from repro.engine.autotune import DEFAULT_CHUNK_SIZE
 
             chunk_size = DEFAULT_CHUNK_SIZE
-        elif isinstance(chunk_size, str):
-            raise ValueError(
-                f"chunk_size must be a positive int or 'auto', "
-                f"got {chunk_size!r}"
-            )
-        if chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
+        self.chunk_size = check_positive_int(
+            "chunk_size", chunk_size, auto=True
+        )
         if path not in self.PATHS:
             raise ValueError(
                 f"unknown path {path!r}; choose from {self.PATHS}"
             )
-        self.chunk_size = int(chunk_size)
         self.path = path
-        self.array_backend = resolve_backend(array_backend)
 
     def run(self, algo: StreamingAlgorithm, stream) -> RunReport:
         """Feed every token of ``stream`` to ``algo``; timing report.
@@ -474,10 +466,6 @@ class StreamRunner:
         and are fed as pure slices of their columns -- zero copies, no
         buffering, no per-edge Python work.
         """
-        with use_backend(self.array_backend):
-            return self._run(algo, stream)
-
-    def _run(self, algo: StreamingAlgorithm, stream) -> RunReport:
         start = time.perf_counter()
         tokens = 0
         chunks = 0
@@ -532,7 +520,6 @@ class StreamRunner:
             seconds=time.perf_counter() - start,
             path=self.path,
             chunk_size=chunk_size,
-            backend=self.array_backend.name,
             autotune=autotune_report,
         )
 

@@ -141,16 +141,6 @@ def build_parser() -> argparse.ArgumentParser:
             "fresh pool for the run, or keep a resident pool whose "
             "workers build their algorithm and evaluation plan once",
         )
-        from repro.engine.backend import BACKEND_CHOICES
-
-        p.add_argument(
-            "--backend",
-            choices=BACKEND_CHOICES,
-            default="numpy",
-            help="array backend for the kernels: numpy (reference), "
-            "torch / torch-cpu / torch-cuda (bit-identical int64 "
-            "arithmetic), or auto (CUDA when available, else numpy)",
-        )
 
     est = sub.add_parser("estimate", help="estimate optimal coverage")
     add_common(est)
@@ -242,11 +232,7 @@ def _load(args) -> EdgeStream:
 
 
 def _runner(args) -> StreamRunner:
-    return StreamRunner(
-        chunk_size=args.chunk_size,
-        path=args.engine,
-        array_backend=getattr(args, "backend", "numpy"),
-    )
+    return StreamRunner(chunk_size=args.chunk_size, path=args.engine)
 
 
 def _run_maybe_sharded(args, factory, stream):
@@ -254,11 +240,9 @@ def _run_maybe_sharded(args, factory, stream):
 
     Returns ``(algo, report)`` either way.  Sharding implies the
     vectorized engine (each shard runs ``process_batch``); the scalar
-    reference path stays single-process.  ``--backend`` is threaded to
-    whichever executor drives the pass.
+    reference path stays single-process.
     """
     workers = getattr(args, "workers", 1)
-    array_backend = getattr(args, "backend", "numpy")
     if workers > 1:
         if args.engine != "vectorized":
             raise SystemExit(
@@ -276,15 +260,12 @@ def _run_maybe_sharded(args, factory, stream):
                 factory,
                 workers=workers,
                 chunk_size=args.chunk_size,
-                array_backend=array_backend,
             ) as pool:
                 return pool.run(stream)
         from repro.parallel import ShardedStreamRunner
 
         return ShardedStreamRunner(
-            workers=workers,
-            chunk_size=args.chunk_size,
-            array_backend=array_backend,
+            workers=workers, chunk_size=args.chunk_size
         ).run(factory, stream)
     algo = factory()
     report = _runner(args).run(algo, stream)
@@ -294,8 +275,7 @@ def _run_maybe_sharded(args, factory, stream):
 def _print_throughput(args, report) -> None:
     print(
         f"throughput: {report.tokens_per_sec:.0f} tokens/sec "
-        f"({report.path} engine, chunk_size={report.chunk_size}, "
-        f"backend={report.backend})"
+        f"({report.path} engine, chunk_size={report.chunk_size})"
     )
 
 

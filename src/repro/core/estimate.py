@@ -180,9 +180,8 @@ class EstimateMaxCover(StreamingAlgorithm):
             # reference loop handles the chunk.
             super()._process_batch(set_ids, elements)
             return
-        # ctx.set_ids is the chunk's set column on the plan's array
-        # backend (one transfer); each branch's reduced element column
-        # is likewise backend-resident.
+        # ctx.set_ids is the chunk's int64 set column; each branch
+        # reads its reduced element column from the same context.
         for slot, (_z, _reducer, oracle) in zip(
             self._branch_slots, self._branches
         ):

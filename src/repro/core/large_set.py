@@ -49,7 +49,6 @@ from repro.base import (
     unpack_state,
 )
 from repro.core.parameters import Parameters
-from repro.engine.backend import backend_of
 from repro.engine.profile import PROFILER
 from repro.sketch.contributing import F2Contributing
 from repro.sketch.element_sampling import ElementSampler
@@ -227,8 +226,7 @@ class LargeSetRun(StreamingAlgorithm):
         if ss_mask.any():
             kept_sids = sids[ss_mask]
             kept_elems = elements[ss_mask]
-            xb = backend_of(kept_sids)
-            for sid in xb.tolist(xb.unique_values(kept_sids)):
+            for sid in np.unique(kept_sids).tolist():
                 self._superset_sketch(int(sid)).process_batch(
                     kept_elems[kept_sids == int(sid)]
                 )
@@ -273,20 +271,21 @@ class LargeSetRun(StreamingAlgorithm):
             sids = ctx.values(self._partition_slot)
             if not len(sids):
                 return
-        xb = ctx.plan.backend
         profiling = PROFILER.enabled
         t0 = PROFILER.clock() if profiling else 0.0
-        order = xb.argsort_stable(sids)
+        order = np.argsort(sids, kind="stable")
         sorted_sids = sids[order]
         length = len(sorted_sids)
-        starts = xb.concatenate(
+        starts = np.concatenate(
             (
-                xb.zeros(1),
-                xb.flatnonzero(sorted_sids[1:] != sorted_sids[:-1]) + 1,
+                np.zeros(1, dtype=np.int64),
+                np.flatnonzero(sorted_sids[1:] != sorted_sids[:-1]) + 1,
             )
         )
         present = sorted_sids[starts]
-        counts = xb.diff(xb.concatenate((starts, xb.full(1, length))))
+        counts = np.diff(
+            np.concatenate((starts, np.full(1, length, dtype=np.int64)))
+        )
         first_pos = order[starts]
         if profiling:
             PROFILER.add("group-split", PROFILER.clock() - t0)
@@ -294,25 +293,27 @@ class LargeSetRun(StreamingAlgorithm):
         self._cntr_large.ingest_grouped(present, first_pos, counts, sids)
         ss_slot = self._ss_slot
         if ss_slot.trivial:
-            sampled = xb.arange(len(present))
+            sampled = np.arange(len(present), dtype=np.int64)
         else:
             table = ss_slot.mask_table()
             if table is not None:
-                sampled = xb.flatnonzero(table[present])
+                sampled = np.flatnonzero(table[present])
             else:
-                sampled = xb.flatnonzero(
+                sampled = np.flatnonzero(
                     self._superset_sampler.contains_many(present)
                 )
         if len(sampled):
-            # The per-superset dispatch loop runs on the host: sampled
+            # The per-superset dispatch loop runs in Python: sampled
             # group bounds are a handful of scalars per chunk.
-            ends = xb.concatenate((starts[1:], xb.full(1, length)))
+            ends = np.concatenate(
+                (starts[1:], np.full(1, length, dtype=np.int64))
+            )
             sorted_elems = elements[order]
             domain = self.params.n
-            lo = xb.tolist(starts)
-            hi = xb.tolist(ends)
-            pres = xb.tolist(present)
-            for i in xb.tolist(sampled):
+            lo = starts.tolist()
+            hi = ends.tolist()
+            pres = present.tolist()
+            for i in sampled.tolist():
                 self._superset_sketch(int(pres[i])).process_tabulated(
                     sorted_elems[lo[i] : hi[i]], domain
                 )

@@ -147,8 +147,7 @@ class Oracle(StreamingAlgorithm):
             # reference loop handles the chunk.
             super()._process_batch(set_ids, elements)
             return
-        # Hand down the context's columns (not the raw chunk): they live
-        # on the plan's array backend, transferred once.
+        # Hand down the context's int64 columns, not the raw chunk.
         self._process_planned(ctx.set_ids, ctx.elements, ctx)
 
     # -- fused-plan hooks ---------------------------------------------------

@@ -44,7 +44,6 @@ from repro.base import (
 from repro.core.large_set import LargeSet
 from repro.core.parameters import Parameters
 from repro.core.small_set import SmallSet
-from repro.engine.backend import backend_of
 from repro.engine.plan import EvalPlan
 from repro.sketch.hashing import (
     KWiseHash,
@@ -151,8 +150,7 @@ class ReportingLargeCommon(StreamingAlgorithm):
             kept_sets, kept_elems = set_ids[mask], elements[mask]
             groups = self._group_hashes[layer](kept_sets)
             layer_l0 = self._group_l0[layer]
-            xb = backend_of(groups)
-            for group in xb.tolist(xb.unique_values(groups)):
+            for group in np.unique(groups).tolist():
                 group = int(group)
                 sketch = layer_l0.get(group)
                 if sketch is None:
@@ -189,8 +187,7 @@ class ReportingLargeCommon(StreamingAlgorithm):
             kept_elems = elements[mask]
             groups = group_slot.values(ctx)[mask]
             layer_l0 = self._group_l0[layer]
-            xb = backend_of(groups)
-            for group in xb.tolist(xb.unique_values(groups)):
+            for group in np.unique(groups).tolist():
                 group = int(group)
                 sketch = layer_l0.get(group)
                 if sketch is None:
@@ -373,8 +370,7 @@ class MaxCoverReporter(StreamingAlgorithm):
             # reference loop handles the chunk.
             super()._process_batch(set_ids, elements)
             return
-        # Hand down the context's backend-resident columns; the raw
-        # chunk stays on the host.
+        # Hand down the context's int64 columns, not the raw chunk.
         self._large_common._ingest_planned(ctx.set_ids, ctx.elements, ctx)
         self._large_set._ingest_planned(ctx.set_ids, ctx.elements, ctx)
         if self._small_set is not None:

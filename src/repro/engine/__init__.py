@@ -7,61 +7,29 @@ chunk columns.  :mod:`repro.engine.plan` collects those families into a
 shared :class:`~repro.engine.plan.EvalPlan` that deduplicates identical
 ``(range, degree, coefficients)`` members, evaluates same-degree groups
 with one Horner pass, and memoises every per-chunk result so nested
-composites reuse parent evaluations instead of re-hashing.
+composites reuse parent evaluations instead of re-hashing.  Every
+kernel is plain numpy on int64 arrays.
 
-:mod:`repro.engine.backend` is the array-backend shim those passes run
-on: a numpy reference implementation and a torch (CPU/CUDA) port of the
-same primitives, selected per run and bit-identical by contract.
-:mod:`repro.engine.arena` holds the per-plan scratch arena the numpy
-backend writes into; :mod:`repro.engine.autotune` picks the chunk size
+:mod:`repro.engine.arena` holds the per-plan scratch buffers those
+passes write into; :mod:`repro.engine.autotune` picks the chunk size
 empirically for ``StreamRunner(chunk_size="auto")``.
 
 :mod:`repro.engine.profile` carries the opt-in per-kernel timer behind
 ``repro bench --profile``.
 
-``plan``/``profile`` are imported lazily (PEP 562): the low-level
-hashing module imports ``repro.engine.backend``, and an eager ``plan``
-import here would close an import cycle back onto ``repro.sketch``.
+Every name here is imported lazily (PEP 562): the sketch modules
+(``repro.sketch.countsketch``, ``repro.sketch.l0``) import
+``repro.engine.profile``, and an eager ``plan`` import here would close
+an import cycle back onto ``repro.sketch``.
 """
 
-from repro.engine.backend import (
-    BACKEND_CHOICES,
-    ArrayBackend,
-    BackendUnavailableError,
-    NumpyBackend,
-    TorchBackend,
-    active_backend,
-    available_backends,
-    backend_of,
-    cuda_available,
-    get_backend,
-    resolve_backend,
-    set_active_backend,
-    torch_available,
-    use_backend,
-)
-
 __all__ = [
-    "ArrayBackend",
-    "BACKEND_CHOICES",
-    "BackendUnavailableError",
     "ChunkContext",
     "EvalPlan",
     "KernelProfiler",
-    "NumpyBackend",
     "PROFILER",
     "ScratchArena",
-    "TorchBackend",
-    "active_backend",
-    "available_backends",
-    "backend_of",
-    "cuda_available",
     "drive_autotuned",
-    "get_backend",
-    "resolve_backend",
-    "set_active_backend",
-    "torch_available",
-    "use_backend",
 ]
 
 _LAZY = {

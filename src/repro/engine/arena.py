@@ -8,7 +8,7 @@ all-true masks of rate-1 samplers.  A :class:`ScratchArena` owned by the
 buffer instead, so the steady-state hot loop performs no numpy
 allocations for plan intermediates at all.
 
-Lifetime rules (the contract custom backends and consumers rely on):
+Lifetime rules (the contract every consumer relies on):
 
 * An arena buffer is valid **for one chunk only**.  ``EvalPlan.begin_chunk``
   implicitly invalidates every buffer handed out for the previous chunk
@@ -20,11 +20,6 @@ Lifetime rules (the contract custom backends and consumers rely on):
   domain tables) is therefore **never** served from the arena; it must
   own its storage.  ``Slot._table`` / ``mask_table`` are built at plan
   freeze from regular allocations for this reason.
-* Backends *may* alias: ``out`` arguments (``horner_mod_bank``,
-  ``take``) are reuse hints.  The numpy backend writes into
-  them; device backends (torch) ignore them and return freshly
-  allocated tensors -- the arena detects that by simply not being
-  enabled for non-host backends.
 * Buffers grow monotonically to the largest shape requested under a
   key and are sliced down per chunk, so a short final chunk reuses the
   full-size buffer's prefix rather than reallocating.
@@ -38,40 +33,30 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.engine.backend import ArrayBackend, NumpyBackend
-
 __all__ = ["ScratchArena"]
 
 
 class ScratchArena:
-    """Keyed pool of reusable host scratch buffers for one plan.
+    """Keyed pool of reusable scratch buffers for one plan.
 
     ``take(key, shape, dtype)`` returns a writable array view of exactly
     ``shape``, backed by a capacity buffer that is reused across chunks.
-    Disabled (returns ``None``) for non-host backends, whose allocators
-    cache device memory themselves; callers treat ``None`` as "allocate
-    normally".
     """
 
-    __slots__ = ("enabled", "hits", "misses", "_buffers")
+    __slots__ = ("hits", "misses", "_buffers")
 
-    def __init__(self, backend: ArrayBackend):
-        # Host (numpy) backends share the arena; torch (CPU or CUDA)
-        # opts out.
-        self.enabled = isinstance(backend, NumpyBackend)
+    def __init__(self):
         self.hits = 0
         self.misses = 0
         self._buffers: dict = {}
 
     def take(self, key, shape, dtype=np.int64):
-        """A reusable buffer view of ``shape``, or ``None`` when disabled.
+        """A reusable buffer view of ``shape``.
 
         The returned view's contents are undefined; callers must fully
         overwrite it.  Valid for the current chunk only (see the module
         docstring for the lifetime rules).
         """
-        if not self.enabled:
-            return None
         shape = tuple(int(s) for s in shape)
         dtype = np.dtype(dtype)
         buffer = self._buffers.get(key)

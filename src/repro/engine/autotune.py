@@ -1,11 +1,10 @@
 """Online chunk-size autotuning for columnar stream passes.
 
-The best ``StreamRunner`` chunk size depends on the machine and the
-backend: numpy wants chunks big enough to amortise per-call dispatch,
-and everything wants per-chunk scratch
-(``branches x chunk_size`` reduction matrices) to stay in cache.  The
-historical default of 4096 is a reasonable middle but measurably wrong
-on some hosts in either direction.
+The best ``StreamRunner`` chunk size depends on the machine: numpy
+wants chunks big enough to amortise per-call dispatch, and per-chunk
+scratch (``branches x chunk_size`` reduction matrices) wants to stay in
+cache.  The historical default of 4096 is a reasonable middle but
+measurably wrong on some hosts in either direction.
 
 :func:`drive_autotuned` picks the size empirically *during the real
 pass*: it feeds a warm-up chunk (plan freeze and cache warming land

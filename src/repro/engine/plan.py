@@ -38,8 +38,9 @@ plan on the next chunk it processes.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.engine.arena import ScratchArena
-from repro.engine.backend import resolve_backend
 from repro.engine.profile import PROFILER
 from repro.sketch.hashing import KWiseHash, KWiseHashBank, SampledSet
 
@@ -121,7 +122,7 @@ class Slot:
         if self._mask_table is None:
             domain = self.column.domain
             if self.trivial and domain is not None and domain <= self.plan.table_cap:
-                self._mask_table = self.plan.backend.ones_bool(domain)
+                self._mask_table = np.ones(domain, dtype=bool)
             elif self._table is not None:
                 self._mask_table = self._table == 0
         return self._mask_table
@@ -158,23 +159,12 @@ class EvalPlan:
     ingest path.
     """
 
-    def __init__(
-        self,
-        set_domain,
-        elem_domain,
-        table_cap=TABLE_DOMAIN_CAP,
-        backend=None,
-    ):
+    def __init__(self, set_domain, elem_domain, table_cap=TABLE_DOMAIN_CAP):
         self.table_cap = int(table_cap)
-        # The plan pins its array backend at construction (plans are
-        # built lazily at the first chunk, after runners/workers have
-        # selected one); every table, Horner pass, and per-chunk column
-        # below lives on it.
-        self.backend = resolve_backend(backend)
         # Reusable per-chunk scratch (Horner output banks, tabulated
         # gathers, shared masks); buffers live for one chunk only --
         # see repro.engine.arena for the lifetime rules.
-        self.arena = ScratchArena(self.backend)
+        self.arena = ScratchArena()
         self._columns: list[Column] = []
         self.sets = self._add_column("sets", set_domain)
         self.elems = self._add_column("elems", elem_domain)
@@ -256,7 +246,6 @@ class EvalPlan:
             grouped.setdefault(
                 (slot.column.index, slot.hash.degree), []
             ).append(slot)
-        xb = self.backend
         group_count = 0
         for (col_index, _degree), slots in grouped.items():
             column = self._columns[col_index]
@@ -265,9 +254,9 @@ class EvalPlan:
             if domain is not None and domain <= self.table_cap:
                 # Domain tables outlive every chunk: regular
                 # allocations, never arena scratch.
-                rows = bank.eval_many(xb.arange(domain), xb)
+                rows = bank.eval_many(np.arange(domain, dtype=np.int64))
                 for slot, row in zip(slots, rows):
-                    slot._table = xb.ascontiguous(row)
+                    slot._table = np.ascontiguousarray(row)
                 self._mark_checked(column)
             else:
                 group = _Group(bank, slots, group_count)
@@ -298,10 +287,13 @@ class EvalPlan:
         self.freeze()
         if len(set_ids) and not self._in_domain(set_ids, elements):
             return None
-        # One host->device transfer per chunk: every downstream planned
-        # consumer reads the context's columns, never the host arrays.
-        xb = self.backend
-        return ChunkContext(self, xb.ensure(set_ids), xb.ensure(elements))
+        # Every downstream planned consumer reads the context's int64
+        # columns, never the caller's arrays.
+        return ChunkContext(
+            self,
+            np.asarray(set_ids, dtype=np.int64),
+            np.asarray(elements, dtype=np.int64),
+        )
 
     def _in_domain(self, set_ids, elements) -> bool:
         for column, data in ((self.sets, set_ids), (self.elems, elements)):
@@ -340,11 +332,8 @@ class ChunkContext:
         """Shared all-``True`` mask for rate-1 samplers."""
         if self._true is None:
             buffer = self.plan.arena.take("all-true", (self.length,), bool)
-            if buffer is None:
-                self._true = self.plan.backend.ones_bool(self.length)
-            else:
-                buffer[:] = True
-                self._true = buffer
+            buffer[:] = True
+            self._true = buffer
         return self._true
 
     def column_values(self, column: Column):
@@ -366,19 +355,15 @@ class ChunkContext:
         return self._values_slow(slot)
 
     def _values_slow(self, slot: Slot):
-        xb = self.plan.backend
         arena = self.plan.arena
         if slot.trivial:
             # One shared zero buffer serves every trivial slot: the
             # values are constant and consumers treat them read-only.
             out = arena.take("zeros", (self.length,))
-            if out is None:
-                out = xb.zeros(self.length)
-            else:
-                out[:] = 0
+            out[:] = 0
             self._values[slot.index] = out
         elif slot._table is not None:
-            out = xb.take(
+            out = np.take(
                 slot._table,
                 self.column_values(slot.column),
                 out=arena.take(("gather", slot.index), (self.length,)),
@@ -397,9 +382,9 @@ class ChunkContext:
         )
         if PROFILER.enabled:
             with PROFILER.span("horner"):
-                rows = group.bank.eval_many(xs, self.plan.backend, out=out)
+                rows = group.bank.eval_many(xs, out=out)
         else:
-            rows = group.bank.eval_many(xs, self.plan.backend, out=out)
+            rows = group.bank.eval_many(xs, out=out)
         for member, row in zip(group.slots, rows):
             self._values.setdefault(member.index, row)
         return self._values[slot.index]
@@ -425,7 +410,7 @@ class ChunkContext:
         return out
 
     def _mask_gather(self, slot: Slot, table):
-        return self.plan.backend.take(
+        return np.take(
             table,
             self.column_values(slot.column),
             out=self.plan.arena.take(

@@ -66,7 +66,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.engine.backend import resolve_backend, use_backend
+from repro.base import check_positive_int
 from repro.engine.profile import PROFILER
 from repro.parallel.sharded import (
     ShardTiming,
@@ -92,23 +92,16 @@ class ShardExecutionError(RuntimeError):
     """
 
 
-def _persistent_worker(
-    index, factory, chunk_size, tasks, results, backend_name="numpy"
-):
+def _persistent_worker(index, factory, chunk_size, tasks, results):
     """Worker main loop: construct once, then serve shard/collect tasks.
 
     Module-level so it pickles under any start method.  The algorithm
     (and therefore its fused evaluation plan) is constructed exactly
     once; a pristine state snapshot taken before the first token is
     restored after every ``collect`` so submissions never see each
-    other's state.  Every processed chunk emits a heartbeat.  The
-    coordinator's array backend arrives by name and stays active for
-    the worker's whole lifetime, so the resident plan pins it.
+    other's state.  Every processed chunk emits a heartbeat.
     """
     try:
-        from repro.engine.backend import set_active_backend
-
-        set_active_backend(backend_name)
         algo = factory()
         pristine = dumps_state(algo)
     except BaseException:  # noqa: BLE001 - shipped to the coordinator
@@ -166,12 +159,10 @@ class _SerialWorker:
     format blob then restores the pristine snapshot.
     """
 
-    def __init__(self, index, factory, chunk_size, array_backend=None):
+    def __init__(self, index, factory, chunk_size):
         self.index = index
         self._chunk_size = chunk_size
-        self._backend = resolve_backend(array_backend)
-        with use_backend(self._backend):
-            self._algo = factory()
+        self._algo = factory()
         self._pristine = dumps_state(self._algo)
 
     def run_shard(self, source):
@@ -180,13 +171,12 @@ class _SerialWorker:
             tokens = len(set_ids)
             start = time.perf_counter()
             chunks = 0
-            with use_backend(self._backend):
-                for lo in range(0, tokens, self._chunk_size):
-                    self._algo.process_batch(
-                        set_ids[lo : lo + self._chunk_size],
-                        elements[lo : lo + self._chunk_size],
-                    )
-                    chunks += 1
+            for lo in range(0, tokens, self._chunk_size):
+                self._algo.process_batch(
+                    set_ids[lo : lo + self._chunk_size],
+                    elements[lo : lo + self._chunk_size],
+                )
+                chunks += 1
             return tokens, chunks, time.perf_counter() - start
         finally:
             if shm is not None:
@@ -266,11 +256,6 @@ class PersistentShardExecutor:
         shut down in the background; the next ``submit`` transparently
         respawns them.  ``None`` (default) keeps workers until
         :meth:`close`.
-    array_backend:
-        Array backend every worker's resident pass runs under (name,
-        :class:`~repro.engine.backend.ArrayBackend` instance, or
-        ``None`` for whatever is active at construction).  Shipped to
-        workers by name and activated for their whole lifetime.
     """
 
     BACKENDS = ("process", "serial")
@@ -285,19 +270,11 @@ class PersistentShardExecutor:
         dispatch: str = "auto",
         heartbeat_timeout: float = 30.0,
         idle_timeout: float | None = None,
-        array_backend=None,
     ):
-        self.array_backend = resolve_backend(array_backend)
         if workers == "auto":
             workers = os.cpu_count() or 1
-        elif not isinstance(workers, int):
-            raise ValueError(
-                f"workers must be an int or 'auto', got {workers!r}"
-            )
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        if chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
+        self.workers = check_positive_int("workers", workers, auto=True)
+        self.chunk_size = check_positive_int("chunk_size", chunk_size)
         if backend not in self.BACKENDS:
             raise ValueError(
                 f"unknown backend {backend!r}; choose from {self.BACKENDS}"
@@ -315,8 +292,6 @@ class PersistentShardExecutor:
                 f"idle_timeout must be > 0 or None, got {idle_timeout}"
             )
         self.factory = factory
-        self.workers = int(workers)
-        self.chunk_size = int(chunk_size)
         self.backend = backend
         self.dispatch = dispatch
         self.heartbeat_timeout = float(heartbeat_timeout)
@@ -356,9 +331,7 @@ class PersistentShardExecutor:
         if self.backend == "serial":
             if not self._workers:
                 self._workers = [
-                    _SerialWorker(
-                        i, self.factory, self.chunk_size, self.array_backend
-                    )
+                    _SerialWorker(i, self.factory, self.chunk_size)
                     for i in range(self.workers)
                 ]
             return
@@ -397,7 +370,6 @@ class PersistentShardExecutor:
                 self.chunk_size,
                 tasks,
                 self._results,
-                self.array_backend.name,
             ),
             daemon=True,
             name=f"repro-shard-{index}",
@@ -629,7 +601,6 @@ class PersistentShardExecutor:
             seconds=time.perf_counter() - pending.started,
             path="sharded",
             chunk_size=self.chunk_size,
-            backend=self.array_backend.name,
             workers=self.workers,
             merge_seconds=merge_seconds,
             shards=tuple(

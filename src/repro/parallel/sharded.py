@@ -57,8 +57,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.base import RunReport, StreamRunner
-from repro.engine.backend import resolve_backend, use_backend
+from repro.base import RunReport, check_positive_int
 from repro.engine.profile import PROFILER
 from repro.sketch.serialize import dumps_state, loads_state
 
@@ -234,28 +233,23 @@ def _shard_worker(payload):
     Module-level so it pickles under the ``spawn`` start method.  The
     payload carries the algorithm factory plus a shard *descriptor*
     (resolved here, inside the worker); the result carries only the
-    state blob, never the object.  The worker's whole pass -- algorithm
-    construction, drive loop, state dump -- runs with the coordinator's
-    array backend active (shipped by *name*, so payloads never pickle
-    device handles), which is how lazily built evaluation plans inside
-    the worker pin the right backend.
+    state blob, never the object.
     """
-    index, factory, source, chunk_size, backend_name = payload
+    index, factory, source, chunk_size = payload
     set_ids, elements, shm = _resolve_shard(source)
     try:
-        with use_backend(backend_name):
-            algo = factory()
-            tokens = len(set_ids)
-            start = time.perf_counter()
-            chunks = 0
-            for lo in range(0, tokens, chunk_size):
-                algo.process_batch(
-                    set_ids[lo : lo + chunk_size],
-                    elements[lo : lo + chunk_size],
-                )
-                chunks += 1
-            seconds = time.perf_counter() - start
-            blob = dumps_state(algo)
+        algo = factory()
+        tokens = len(set_ids)
+        start = time.perf_counter()
+        chunks = 0
+        for lo in range(0, tokens, chunk_size):
+            algo.process_batch(
+                set_ids[lo : lo + chunk_size],
+                elements[lo : lo + chunk_size],
+            )
+            chunks += 1
+        seconds = time.perf_counter() - start
+        blob = dumps_state(algo)
     finally:
         if shm is not None:
             # Drop every view into the block before closing the mapping.
@@ -311,17 +305,6 @@ class ShardedStreamRunner:
         the serial one.  Explicit values force a path (the equivalence
         tests exercise all of them); ``"mmap"`` requires a stream loaded
         with ``EdgeStream.load_binary(..., mmap=True)``.
-    array_backend:
-        Array backend every shard pass runs under -- a name
-        (``"numpy"``, ``"torch"``, ``"auto"``), an
-        :class:`~repro.engine.backend.ArrayBackend` instance, or
-        ``None`` for whatever is active at construction.  Workers
-        receive the backend by *name* and activate it for their whole
-        pass.  A GPU backend flips ``workers="auto"`` to an in-process
-        single pass: one device saturated by one stream beats ``n``
-        CPU processes re-feeding it, and the single pass avoids
-        shipping per-shard state across the device boundary.  The
-        report records that shortcut as ``fallback="gpu_single_pass"``.
     """
 
     BACKENDS = ("process", "serial")
@@ -333,26 +316,11 @@ class ShardedStreamRunner:
         chunk_size: int = 4096,
         backend: str = "process",
         dispatch: str = "auto",
-        array_backend=None,
     ):
-        self.array_backend = resolve_backend(array_backend)
-        self._auto_gpu = False
         if workers == "auto":
-            if self.array_backend.is_gpu:
-                # Device kernels parallelise internally; fan-out across
-                # host processes only multiplies transfer overhead.
-                workers = 1
-                self._auto_gpu = True
-            else:
-                workers = os.cpu_count() or 1
-        elif not isinstance(workers, int):
-            raise ValueError(
-                f"workers must be an int or 'auto', got {workers!r}"
-            )
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        if chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
+            workers = os.cpu_count() or 1
+        self.workers = check_positive_int("workers", workers, auto=True)
+        self.chunk_size = check_positive_int("chunk_size", chunk_size)
         if backend not in self.BACKENDS:
             raise ValueError(
                 f"unknown backend {backend!r}; choose from {self.BACKENDS}"
@@ -361,8 +329,6 @@ class ShardedStreamRunner:
             raise ValueError(
                 f"unknown dispatch {dispatch!r}; choose from {self.DISPATCH}"
             )
-        self.workers = int(workers)
-        self.chunk_size = int(chunk_size)
         self.backend = backend
         self.dispatch = dispatch
 
@@ -405,30 +371,28 @@ class ShardedStreamRunner:
         if self.workers == 1 and boundaries is None:
             # One effective worker: sharding adds only dispatch and
             # state-serialisation overhead, so run the pass directly.
-            with use_backend(self.array_backend):
-                algo = factory()
-                pass_start = time.perf_counter()
-                chunks = 0
-                for lo in range(0, total, self.chunk_size):
-                    algo.process_batch(
-                        set_ids[lo : lo + self.chunk_size],
-                        elements[lo : lo + self.chunk_size],
-                    )
-                    chunks += 1
-                pass_seconds = time.perf_counter() - pass_start
+            algo = factory()
+            pass_start = time.perf_counter()
+            chunks = 0
+            for lo in range(0, total, self.chunk_size):
+                algo.process_batch(
+                    set_ids[lo : lo + self.chunk_size],
+                    elements[lo : lo + self.chunk_size],
+                )
+                chunks += 1
+            pass_seconds = time.perf_counter() - pass_start
             report = ShardedRunReport(
                 tokens=total,
                 chunks=chunks,
                 seconds=time.perf_counter() - start,
                 path="sharded",
                 chunk_size=self.chunk_size,
-                backend=self.array_backend.name,
                 workers=1,
                 merge_seconds=0.0,
                 shards=(ShardTiming(0, total, pass_seconds),),
                 dispatch="in_process",
                 dispatch_bytes=0,
-                fallback="gpu_single_pass" if self._auto_gpu else "single_pass",
+                fallback="single_pass",
             )
             return algo, report
         bounds = self.shard_bounds(total, boundaries)
@@ -459,7 +423,7 @@ class ShardedStreamRunner:
                 ]
             dispatch_bytes = dispatch_payload_bytes(sources)
             payloads = [
-                (i, factory, source, self.chunk_size, self.array_backend.name)
+                (i, factory, source, self.chunk_size)
                 for i, source in enumerate(sources)
             ]
             if self.backend == "process" and self.workers > 1:
@@ -505,7 +469,6 @@ class ShardedStreamRunner:
             seconds=time.perf_counter() - start,
             path="sharded",
             chunk_size=self.chunk_size,
-            backend=self.array_backend.name,
             workers=self.workers,
             merge_seconds=merge_seconds,
             shards=tuple(timings),

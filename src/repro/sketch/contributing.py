@@ -31,7 +31,6 @@ from repro.base import (
     pack_state,
     unpack_state,
 )
-from repro.engine.backend import backend_of
 from repro.sketch.countsketch import F2HeavyHitter
 from repro.sketch.hashing import SampledSet, SampledSetBank, same_sampled_set
 
@@ -137,7 +136,7 @@ class F2Contributing(StreamingAlgorithm):
             if any(row is None for row in rows):
                 self._level_slots = None
             else:
-                self._keep_tables = backend_of(rows[0]).stack(rows)
+                self._keep_tables = np.stack(rows)
         if self._keep_tables is not None:
             return self._keep_tables[:, unique]
         return self._sampler_bank.contains_matrix(unique)

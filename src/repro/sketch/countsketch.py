@@ -26,7 +26,6 @@ from repro.base import (
     pack_state,
     unpack_state,
 )
-from repro.engine.backend import HOST, as_host, backend_of
 from repro.engine.profile import PROFILER
 from repro.sketch.hashing import KWiseHash, KWiseHashBank, SignHash
 
@@ -41,6 +40,15 @@ _BINCOUNT_FACTOR = 16
 # Rank sentinel for pool replay: sorts after every real insertion rank
 # (ranks are bounded by pool size + chunk length, far below 2**62).
 _ABSENT = np.int64(1) << 62
+
+
+def _unique_grouped(items):
+    """``(unique, first_pos, counts)``: sorted unique values, the index
+    of each value's first occurrence in ``items``, and per-value counts."""
+    unique, first_pos, counts = np.unique(
+        items, return_index=True, return_counts=True
+    )
+    return unique, first_pos.astype(np.int64), counts.astype(np.int64)
 
 
 class CountSketch(StreamingAlgorithm):
@@ -108,39 +116,51 @@ class CountSketch(StreamingAlgorithm):
         CountSketch is linear, so scatter-adding a whole batch per row
         (``np.add.at``) produces the identical table.
         """
-        xb = backend_of(items)
-        items = xb.ensure(items)
+        items = np.asarray(items, dtype=np.int64)
         if counts is None:
-            counts = xb.full(len(items), 1)
+            counts = np.full(len(items), 1, dtype=np.int64)
         else:
-            counts = xb.ensure(counts)
+            counts = np.asarray(counts, dtype=np.int64)
         # Deduplicate so the per-row hash work is proportional to the
         # number of distinct items, not batch length.  Weighted bincount
         # is exact here: the summed magnitudes stay far below 2^53.
-        unique, inverse = xb.unique_inverse(items)
-        sums = xb.bincount(inverse, len(unique), weights=counts)
-        buckets = self._bucket_bank.eval_many(unique, xb)
-        signs = xb.where(self._sign_bank.eval_many(unique, xb) == 1, 1, -1)
+        unique, inverse = np.unique(items, return_inverse=True)
+        sums = np.bincount(
+            inverse, weights=counts, minlength=len(unique)
+        ).astype(np.int64)
+        buckets = self._bucket_bank.eval_many(unique)
+        signs = np.where(self._sign_bank.eval_many(unique) == 1, 1, -1)
         self._scatter(buckets, signs, sums)
 
     def _scatter(self, buckets, signs, sums) -> None:
         """Add ``signs * sums`` into the table rows at ``buckets``.
 
-        Delegates to the backend's ``bincount_scatter``: two
-        exactly-equivalent kernels behind a length threshold -- many
+        Two exactly-equivalent kernels behind a length threshold: many
         distinct items flatten into one weighted bincount over the whole
         table (one pass, no per-index dispatch), few fall back to
         per-row indexed adds so tiny updates do not pay a full table
         sweep.  Weights are float64 but every partial sum is an integer
-        far below 2^53, so the cast back is exact.  The table itself is
-        host-resident state; the backend syncs its delta across.
+        far below 2^53, so the cast back is exact.
         """
         profiling = PROFILER.enabled
         t0 = PROFILER.clock() if profiling else 0.0
         values = signs * sums
-        backend_of(values).bincount_scatter(
-            self._table, buckets, values, _BINCOUNT_FACTOR
-        )
+        table = self._table
+        depth, width = table.shape
+        cells = depth * width
+        if values.shape[1] * _BINCOUNT_FACTOR >= cells:
+            offsets = (np.arange(depth, dtype=np.int64) * width)[:, None]
+            flat = buckets + offsets
+            table += (
+                np.bincount(
+                    flat.ravel(), weights=values.ravel(), minlength=cells
+                )
+                .astype(np.int64)
+                .reshape(depth, width)
+            )
+        else:
+            for row in range(depth):
+                np.add.at(table[row], buckets[row], values[row])
         if profiling:
             PROFILER.add("scatter", PROFILER.clock() - t0)
 
@@ -173,9 +193,8 @@ class CountSketch(StreamingAlgorithm):
                 self._bucket_slots = None
                 self._sign_slots = None
                 return None, None
-            xb = backend_of(bucket_rows[0])
-            self._bucket_tables = xb.stack(bucket_rows)
-            self._sign_tables = xb.where(xb.stack(sign_rows) == 1, 1, -1)
+            self._bucket_tables = np.stack(bucket_rows)
+            self._sign_tables = np.where(np.stack(sign_rows) == 1, 1, -1)
         return self._bucket_tables[:, items], self._sign_tables[:, items]
 
     def update_grouped(self, items: np.ndarray, sums: np.ndarray) -> None:
@@ -190,9 +209,8 @@ class CountSketch(StreamingAlgorithm):
         """
         buckets, signs = self._planned_rows(items)
         if buckets is None:
-            xb = backend_of(items)
-            buckets = self._bucket_bank.eval_many(items, xb)
-            signs = xb.where(self._sign_bank.eval_many(items, xb) == 1, 1, -1)
+            buckets = self._bucket_bank.eval_many(items)
+            signs = np.where(self._sign_bank.eval_many(items) == 1, 1, -1)
         self._scatter(buckets, signs, sums)
 
     def query(self, item: int) -> float:
@@ -313,7 +331,7 @@ class F2HeavyHitter(StreamingAlgorithm):
         first-arrival order because pruning ties break by dict order.
         """
         self._sketch.update_batch(items)
-        unique, first_seen, counts = backend_of(items).unique_grouped(items)
+        unique, first_seen, counts = _unique_grouped(items)
         new_items = sum(
             1 for item in unique.tolist() if item not in self._candidates
         )
@@ -386,20 +404,13 @@ class F2HeavyHitter(StreamingAlgorithm):
         selection rule as :meth:`_prune` (count descending, ties to
         earlier insertion) -- so the final pool is bit-identical to the
         per-token reference loop.
-
-        This is an explicit **host boundary**: the prune recurrence is
-        genuinely sequential (items evicted in one window legally
-        re-arrive in a later one), so the replay always runs on the host
-        backend; device chunks are synced across once on entry.
         """
-        items = as_host(items)
-        hb = HOST
         length = len(items)
         if length == 0:
             return
         period = self.prune_period
         offset = self._pool_tokens % period
-        positions = hb.arange(length)
+        positions = np.arange(length, dtype=np.int64)
         window = (offset + positions) // period
         stride = int(items.max()) + 1
         combined = window * stride + items
@@ -411,24 +422,24 @@ class F2HeavyHitter(StreamingAlgorithm):
             # reversed position scatter (advanced-indexing assignment
             # keeps the last write, so reversing keeps the first
             # arrival) beats the O(n log n) sorting groupby.
-            per_key = hb.bincount(combined, nbins)
-            uniq = hb.flatnonzero(per_key)
+            per_key = np.bincount(combined, minlength=nbins).astype(np.int64)
+            uniq = np.flatnonzero(per_key)
             cnt = per_key[uniq]
-            first_at = hb.empty(nbins)
+            first_at = np.empty(nbins, dtype=np.int64)
             first_at[combined[::-1]] = positions[::-1]
             first = first_at[uniq]
         else:
-            uniq, first, cnt = hb.unique_grouped(combined)
+            uniq, first, cnt = _unique_grouped(combined)
         item_of = uniq % stride
-        bounds = hb.searchsorted(
-            uniq, hb.arange(num_windows + 1) * stride
+        bounds = np.searchsorted(
+            uniq, np.arange(num_windows + 1, dtype=np.int64) * stride
         ).tolist()
         # Windows 0..n_complete-1 end on a scheduled prune; a final
         # partial window carries its arrivals into the next call.
         n_complete = (length + offset) // period
         pool = self._candidates
         cap = self.capacity
-        pool_keys = hb.fromiter(pool.keys(), len(pool))
+        pool_keys = np.fromiter(pool.keys(), dtype=np.int64, count=len(pool))
         domain = int(max(stride, pool_keys.max() + 1 if len(pool) else 0))
         if domain <= (1 << 16):
             # Dense mode: the item domain is small enough to index
@@ -439,10 +450,12 @@ class F2HeavyHitter(StreamingAlgorithm):
             # ranks (``_ABSENT`` marks non-members); ``neg_counts``
             # holds negated counts so ``lexsort``'s ascending order is
             # count descending.
-            ranks = hb.full(domain, _ABSENT)
-            ranks[pool_keys] = hb.arange(len(pool))
-            neg_counts = hb.zeros(domain)
-            neg_counts[pool_keys] = -hb.fromiter(pool.values(), len(pool))
+            ranks = np.full(domain, _ABSENT, dtype=np.int64)
+            ranks[pool_keys] = np.arange(len(pool), dtype=np.int64)
+            neg_counts = np.zeros(domain, dtype=np.int64)
+            neg_counts[pool_keys] = -np.fromiter(
+                pool.values(), dtype=np.int64, count=len(pool)
+            )
             # Compact roster of current members (any order): pruning
             # sorts this short array instead of scanning the domain.
             roster = pool_keys
@@ -450,8 +463,6 @@ class F2HeavyHitter(StreamingAlgorithm):
             # (positions are globally monotone across windows, so later
             # windows always rank after earlier insertions).
             rank_of = first + len(pool)
-            lexsort = hb.lexsort
-            concatenate = hb.concatenate
             lo = bounds[0]
             for index in range(num_windows):
                 hi = bounds[index + 1]
@@ -464,9 +475,9 @@ class F2HeavyHitter(StreamingAlgorithm):
                 fresh = arrivals[missing]
                 if len(fresh):
                     ranks[fresh] = rank_of[lo:hi][missing]
-                    roster = concatenate((roster, fresh))
+                    roster = np.concatenate((roster, fresh))
                 if len(roster) > cap and index < n_complete:
-                    selection = lexsort(
+                    selection = np.lexsort(
                         (ranks[roster], neg_counts[roster])
                     )
                     ordered = roster[selection]
@@ -475,7 +486,7 @@ class F2HeavyHitter(StreamingAlgorithm):
                     neg_counts[evicted] = 0
                     roster = ordered[:cap]
                 lo = hi
-            kept = roster[hb.argsort_stable(ranks[roster])]
+            kept = roster[np.argsort(ranks[roster], kind="stable")]
             self._pool_tokens += length
             self._candidates = dict(
                 zip(kept.tolist(), (-neg_counts[kept]).tolist())
@@ -485,28 +496,28 @@ class F2HeavyHitter(StreamingAlgorithm):
         # kept as parallel (keys, counts) arrays looked up by binary
         # search.
         keys = pool_keys
-        vals = hb.fromiter(pool.values(), len(pool))
+        vals = np.fromiter(pool.values(), dtype=np.int64, count=len(pool))
         for index in range(num_windows):
             lo, hi = bounds[index], bounds[index + 1]
-            order = hb.argsort_stable(first[lo:hi])
+            order = np.argsort(first[lo:hi], kind="stable")
             arrivals = item_of[lo:hi][order]
             arrival_counts = cnt[lo:hi][order]
             if len(keys):
-                sorter = hb.argsort_stable(keys)
-                pos = hb.searchsorted(keys, arrivals, sorter=sorter)
+                sorter = np.argsort(keys, kind="stable")
+                pos = np.searchsorted(keys, arrivals, sorter=sorter)
                 pos[pos == len(keys)] = 0
                 slots = sorter[pos]
                 known = keys[slots] == arrivals
                 vals[slots[known]] += arrival_counts[known]
                 fresh = ~known
             else:
-                fresh = hb.ones_bool(len(arrivals))
+                fresh = np.ones(len(arrivals), dtype=bool)
             if fresh.any():
-                keys = hb.concatenate((keys, arrivals[fresh]))
-                vals = hb.concatenate((vals, arrival_counts[fresh]))
+                keys = np.concatenate((keys, arrivals[fresh]))
+                vals = np.concatenate((vals, arrival_counts[fresh]))
             if index < n_complete and len(keys) > cap:
-                selection = hb.argsort_stable(-vals)
-                keep = hb.sort(selection[:cap])
+                selection = np.argsort(-vals, kind="stable")
+                keep = np.sort(selection[:cap])
                 keys = keys[keep]
                 vals = vals[keep]
         self._pool_tokens += length

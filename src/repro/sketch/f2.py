@@ -16,7 +16,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.base import MergeIncompatibleError, StreamingAlgorithm
-from repro.engine.backend import backend_of
 from repro.sketch.hashing import SignHash
 
 __all__ = ["F2Sketch"]
@@ -60,7 +59,8 @@ class F2Sketch(StreamingAlgorithm):
     def _process_batch(self, items: np.ndarray) -> None:
         # Linear sketch: summing per-item signs over the batch is
         # exactly the scalar path.
-        unique, counts = backend_of(items).unique_counts(items)
+        unique, counts = np.unique(items, return_counts=True)
+        counts = counts.astype(np.int64)
         for idx, sign in enumerate(self._signs):
             self._counters[idx] += int((sign(unique) * counts).sum())
 

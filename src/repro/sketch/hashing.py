@@ -33,8 +33,6 @@ import math
 
 import numpy as np
 
-from repro.engine.backend import backend_of
-
 __all__ = [
     "MERSENNE_P",
     "KWiseHash",
@@ -133,11 +131,12 @@ class KWiseHash:
             for a in self._coeffs_py[1:]:
                 acc = (acc * xi + a) % MERSENNE_P
             return acc % self.range_size
-        # Array path: one Horner pass on whichever backend owns the
-        # input (numpy arrays stay numpy; torch tensors stay on device).
-        return backend_of(x).horner_mod(
-            self._coeffs, x, MERSENNE_P, self.range_size
-        )
+        # Array path: one Horner pass over the whole input.
+        xs = np.asarray(x, dtype=np.int64) % MERSENNE_P
+        acc = np.full_like(xs, self._coeffs_py[0])
+        for a in self._coeffs_py[1:]:
+            acc = (acc * xs + a) % MERSENNE_P
+        return acc % self.range_size
 
     def space_words(self) -> int:
         """Words needed to store this function (its coefficients)."""
@@ -176,31 +175,29 @@ class KWiseHashBank:
         self._ranges = np.asarray(
             [h.range_size for h in hashes], dtype=np.int64
         ).reshape(-1, 1)
-        # Per-backend copies of the coefficient matrix; the host arrays
-        # above stay canonical (merge validation compares their bytes).
-        self._device_banks: dict = {}
 
-    def _bank_arrays(self, xb):
-        cached = self._device_banks.get(xb.name)
-        if cached is None:
-            cached = (xb.from_host(self._coeffs), xb.from_host(self._ranges))
-            self._device_banks[xb.name] = cached
-        return cached
-
-    def eval_many(self, xs, xb=None, out=None):
+    def eval_many(self, xs, out=None):
         """``(B, L)`` matrix with ``out[b, j] = hashes[b](xs[j])``.
 
-        Evaluates on ``xb`` when given, else on the backend owning
-        ``xs``.  Residues stay below 2^31, so every product fits int64
-        and the result is bit-identical across backends.  ``out`` is a
-        scratch-arena reuse hint forwarded to the backend (host
-        backends fill it, device backends may ignore it); callers must
-        use the return value.
+        Inputs are reduced ``mod p`` first and residues stay below 2^31,
+        so every product fits int64.  ``out``, when given, is a
+        ``(B, len(xs))`` int64 buffer (a scratch-arena view) that the
+        pass writes into and returns.
         """
-        if xb is None:
-            xb = backend_of(xs)
-        coeffs, ranges = self._bank_arrays(xb)
-        return xb.horner_mod_bank(coeffs, xs, MERSENNE_P, ranges, out=out)
+        xs = np.asarray(xs, dtype=np.int64) % MERSENNE_P
+        coeffs = self._coeffs
+        acc = (
+            out
+            if out is not None
+            else np.empty((coeffs.shape[0], len(xs)), dtype=np.int64)
+        )
+        acc[:] = coeffs[:, :1]
+        for j in range(1, coeffs.shape[1]):
+            acc *= xs
+            acc += coeffs[:, j : j + 1]
+            acc %= MERSENNE_P
+        acc %= self._ranges
+        return acc
 
     def space_words(self) -> int:
         """Words to store every member's coefficients."""
@@ -221,7 +218,7 @@ class SignHash:
         bit = self._hash(x)
         if isinstance(bit, int):
             return 1 if bit == 1 else -1
-        return backend_of(bit).where(bit == 1, 1, -1)
+        return np.where(bit == 1, 1, -1)
 
     def space_words(self) -> int:
         return self._hash.space_words()
@@ -266,10 +263,9 @@ class SampledSet:
 
     def contains_many(self, xs: np.ndarray) -> np.ndarray:
         """Vectorised membership test for an array of items."""
-        xb = backend_of(xs)
         if self.buckets == 1:
-            return xb.ones_bool(len(xs))
-        return self._hash(xb.ensure(xs)) == 0
+            return np.ones(len(xs), dtype=bool)
+        return self._hash(xs) == 0
 
     def space_words(self) -> int:
         return self._hash.space_words() + 1

@@ -22,7 +22,6 @@ import heapq
 import numpy as np
 
 from repro.base import MergeIncompatibleError, StreamingAlgorithm
-from repro.engine.backend import HOST, as_host, backend_of
 from repro.engine.profile import PROFILER
 from repro.sketch.hashing import MERSENNE_P, KWiseHash
 
@@ -55,11 +54,10 @@ class L0Sketch(StreamingAlgorithm):
         # Max-heap (via negation) of the smallest hash values seen.
         self._heap: list[int] = []
         self._members: set[int] = set()
-        # Lazy hash tables over a small item domain, one per array
-        # backend that has asked: recomputable from the hash seed, so a
-        # CPython speed cache outside the space model (like the
-        # membership caches elsewhere).
-        self._hash_tables: dict = {}
+        # Lazy hash table over a small item domain: recomputable from
+        # the hash seed, so a CPython speed cache outside the space
+        # model (like the membership caches elsewhere).
+        self._hash_table = None
 
     def _process(self, item) -> None:
         hv = self._hash(int(item))
@@ -92,12 +90,11 @@ class L0Sketch(StreamingAlgorithm):
         if domain > (1 << 16):
             self._ingest_hashed(self._hash(items))
             return
-        xb = backend_of(items)
-        table = self._hash_tables.get(xb.name)
+        table = self._hash_table
         if table is None or len(table) < domain:
-            table = self._hash(xb.arange(domain))
-            self._hash_tables[xb.name] = table
-        self._ingest_hashed(xb.take(table, items))
+            table = self._hash(np.arange(domain, dtype=np.int64))
+            self._hash_table = table
+        self._ingest_hashed(table[items])
 
     def _ingest_hashed(self, raw_hvs: np.ndarray) -> None:
         if PROFILER.enabled:
@@ -109,7 +106,7 @@ class L0Sketch(StreamingAlgorithm):
             return
         self._ingest_hashed_now(raw_hvs)
 
-    def _ingest_hashed_now(self, raw_hvs: np.ndarray) -> None:
+    def _ingest_hashed_now(self, hvs: np.ndarray) -> None:
         if len(self._heap) >= self.sketch_size:
             # Threshold-filter first: once the synopsis is full most
             # hashes are rejected, and filtering a raw array is far
@@ -117,22 +114,19 @@ class L0Sketch(StreamingAlgorithm):
             # insert paths below are idempotent per hash value, so the
             # final KMV state (the k smallest distinct values seen) is
             # the same with or without duplicates in ``hvs``.
-            raw_hvs = raw_hvs[raw_hvs < -self._heap[0]]
-        hvs = raw_hvs
+            hvs = hvs[hvs < -self._heap[0]]
         if len(hvs) == 0:
             return
-        # Host boundary: the synopsis (heap + member set) is
-        # host-resident state, so the threshold survivors -- typically a
-        # tiny fraction of the chunk -- sync across here.
-        hvs = as_host(hvs)
         if len(hvs) > 32:
             # Large survivor sets: rebuild the synopsis as the k smallest
             # of (current members  ∪  new values) in one sorted pass
             # (``union1d`` dedups internally).  KMV state is exactly
             # that set, so the rebuild is bit-identical to the
             # incremental inserts.
-            merged = HOST.union1d(
-                HOST.fromiter(self._members, len(self._members)),
+            merged = np.union1d(
+                np.fromiter(
+                    self._members, dtype=np.int64, count=len(self._members)
+                ),
                 hvs,
             )[: self.sketch_size]
             self._members = set(merged.tolist())

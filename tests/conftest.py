@@ -8,8 +8,6 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from repro.engine.backend import available_backends, use_backend
-
 from repro import (
     EdgeStream,
     EstimateMaxCover,
@@ -28,20 +26,18 @@ from repro.streams.adversary import (
 )
 
 
-@pytest.fixture(params=available_backends())
-def array_backend(request):
-    """Every array backend that can run in this process, activated.
+@pytest.fixture(params=["numpy", "list"])
+def column_form(request):
+    """Converter to the column type a batched test hands ``process_batch``.
 
-    Parametrised over :func:`available_backends`, so torch rows exist
-    only where torch is importable (absence means "no test", never a
-    failure) and the CUDA row carries the ``gpu`` marker so it can be
-    deselected on CPU-only runners.
+    ``numpy`` gives int64 arrays, the form every runner passes; ``list``
+    gives plain Python int lists, which ``process_batch`` converts
+    itself.  A test parametrised over both asserts that the state it
+    checks does not depend on the form.
     """
-    name = request.param
-    if name == "torch-cuda":
-        request.applymarker(pytest.mark.gpu)
-    with use_backend(name) as backend:
-        yield backend
+    if request.param == "numpy":
+        return partial(np.asarray, dtype=np.int64)
+    return lambda column: np.asarray(column).tolist()
 
 
 @pytest.fixture(scope="session")

@@ -1,25 +1,24 @@
 """Tests for the per-plan scratch arena (:mod:`repro.engine.arena`).
 
-The arena's contract: host backends get a reused, correctly shaped and
-typed buffer per ``(key)`` per chunk; non-host backends get ``None``;
-buffers grow monotonically and short chunks reuse a prefix view of the
-largest allocation.  Plan integration: consecutive chunks of a frozen
-:class:`~repro.engine.plan.EvalPlan` write their intermediates into the
-same storage, so the steady state allocates nothing.
+The arena's contract: every ``(key)`` gets a reused, correctly shaped
+and typed buffer per chunk; buffers grow monotonically and short chunks
+reuse a prefix view of the largest allocation.  Plan integration:
+consecutive chunks of a frozen :class:`~repro.engine.plan.EvalPlan`
+write their intermediates into the same storage, so the steady state
+allocates nothing.
 """
 
 import numpy as np
 import pytest
 
 from repro.engine.arena import ScratchArena
-from repro.engine.backend import NUMPY
 from repro.engine.plan import EvalPlan
 from repro.sketch.hashing import KWiseHash
 
 
 class TestTake:
     def test_shape_and_dtype(self):
-        arena = ScratchArena(NUMPY)
+        arena = ScratchArena()
         buf = arena.take("a", (3, 7))
         assert buf.shape == (3, 7)
         assert buf.dtype == np.int64
@@ -28,7 +27,7 @@ class TestTake:
         assert mask.dtype == np.bool_
 
     def test_same_key_reuses_storage(self):
-        arena = ScratchArena(NUMPY)
+        arena = ScratchArena()
         first = arena.take("k", (4, 8))
         second = arena.take("k", (4, 8))
         assert np.shares_memory(first, second)
@@ -37,7 +36,7 @@ class TestTake:
         assert arena.buffer_count == 1
 
     def test_smaller_request_is_prefix_view(self):
-        arena = ScratchArena(NUMPY)
+        arena = ScratchArena()
         big = arena.take("k", (4, 100))
         small = arena.take("k", (4, 60))
         assert small.shape == (4, 60)
@@ -45,7 +44,7 @@ class TestTake:
         assert arena.misses == 1
 
     def test_growth_reallocates_elementwise_max(self):
-        arena = ScratchArena(NUMPY)
+        arena = ScratchArena()
         arena.take("k", (2, 100))
         grown = arena.take("k", (5, 50))
         assert grown.shape == (5, 50)
@@ -55,32 +54,26 @@ class TestTake:
         assert arena.misses == 2
 
     def test_dtype_change_reallocates(self):
-        arena = ScratchArena(NUMPY)
+        arena = ScratchArena()
         arena.take("k", (8,), np.int64)
         mask = arena.take("k", (8,), bool)
         assert mask.dtype == np.bool_
         assert arena.misses == 2
 
     def test_ndim_change_reallocates(self):
-        arena = ScratchArena(NUMPY)
+        arena = ScratchArena()
         arena.take("k", (8,))
         two_d = arena.take("k", (2, 8))
         assert two_d.shape == (2, 8)
         assert arena.misses == 2
 
     def test_distinct_keys_distinct_buffers(self):
-        arena = ScratchArena(NUMPY)
+        arena = ScratchArena()
         a = arena.take(("bank", 0), (4,))
         b = arena.take(("bank", 1), (4,))
         assert not np.shares_memory(a, b)
         assert arena.buffer_count == 2
         assert arena.nbytes() == a.nbytes + b.nbytes
-
-    def test_disabled_for_non_host_backend(self):
-        arena = ScratchArena(object())
-        assert not arena.enabled
-        assert arena.take("k", (8,)) is None
-        assert arena.buffer_count == 0
 
 
 class TestPlanIntegration:

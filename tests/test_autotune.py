@@ -197,6 +197,11 @@ class TestRunnerAuto:
     def test_bad_chunk_size_string_rejected(self):
         with pytest.raises(ValueError):
             StreamRunner(chunk_size="fast")
+        # Never coerced: True is not 1 and 4096.9 is not 4096.
+        for bad in (True, 4096.9, 0):
+            with pytest.raises(ValueError, match="chunk_size"):
+                StreamRunner(chunk_size=bad)
+        assert StreamRunner(chunk_size=np.int64(512)).chunk_size == 512
 
     def test_non_columnar_stream_uses_default_size(self):
         # Buffered (plain iterable) path has no as_arrays: autotune

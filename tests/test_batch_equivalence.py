@@ -166,11 +166,9 @@ class TestPlannedEquivalence:
     run in its final answer, its ``space_words`` *and* its complete
     serialised state.
 
-    The planned pass is parametrised over every available array backend
-    (``array_backend`` fixture) while the scalar reference runs on host
-    ints, so the state comparison doubles as the cross-backend
-    byte-identity guarantee: a torch run must serialise to exactly the
-    bytes the numpy run does.
+    The planned pass is parametrised over the column form it is fed
+    (``column_form`` fixture): Python-list columns must build exactly
+    the state int64 arrays do.
     """
 
     PLAN_CHUNKS = (1, 7, 64, 8192)
@@ -183,22 +181,15 @@ class TestPlannedEquivalence:
         assert state_difference(planned.state_arrays(), state) is None
         assert planned.space_words() == space_words
 
-    @staticmethod
-    def _planned(make, set_ids, elements, chunk_size, backend):
-        from repro.engine.backend import use_backend
-
-        with use_backend(backend):
-            return _replay_chunked(make(), set_ids, elements, chunk_size)
-
     @pytest.mark.parametrize("chunk_size", PLAN_CHUNKS)
     def test_estimator_state_bit_identical(
-        self, planted_estimator, scalar_runs, arrays, chunk_size, array_backend
+        self, planted_estimator, scalar_runs, arrays, chunk_size, column_form
     ):
         # ``arrays`` is the random order ``scalar_runs`` replayed.
         scalar = scalar_runs["random"]
-        set_ids, elements = arrays
-        planned = self._planned(
-            planted_estimator, set_ids, elements, chunk_size, array_backend
+        set_ids, elements = map(column_form, arrays)
+        planned = _replay_chunked(
+            planted_estimator(), set_ids, elements, chunk_size
         )
         self._assert_same_state(planned, scalar.state, scalar.space_words)
         assert planned.estimate() == scalar.estimate
@@ -206,11 +197,11 @@ class TestPlannedEquivalence:
     @pytest.mark.parametrize("chunk_size", PLAN_CHUNKS)
     def test_reporter_solution_bit_identical(
         self, planted_reporter, scalar_reporter, arrays, chunk_size,
-        array_backend,
+        column_form,
     ):
-        set_ids, elements = arrays
-        planned = self._planned(
-            planted_reporter, set_ids, elements, chunk_size, array_backend
+        set_ids, elements = map(column_form, arrays)
+        planned = _replay_chunked(
+            planted_reporter(), set_ids, elements, chunk_size
         )
         self._assert_same_state(
             planned, scalar_reporter.state_arrays(),
@@ -220,13 +211,13 @@ class TestPlannedEquivalence:
 
     def test_every_arrival_order(
         self, planted_estimator, adversarial_streams, scalar_runs,
-        array_backend,
+        column_form,
     ):
         for name, stream in adversarial_streams.items():
             scalar = scalar_runs[name]
-            set_ids, elements = stream.as_arrays()
-            planned = self._planned(
-                planted_estimator, set_ids, elements, 64, array_backend
+            set_ids, elements = map(column_form, stream.as_arrays())
+            planned = _replay_chunked(
+                planted_estimator(), set_ids, elements, 64
             )
             self._assert_same_state(planned, scalar.state, scalar.space_words)
             assert planned.estimate() == scalar.estimate, name

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from repro.sketch.hashing import (
     MERSENNE_P,
     KWiseHash,
+    KWiseHashBank,
     SampledSet,
     SignHash,
     default_degree,
@@ -85,6 +86,45 @@ class TestKWiseHash:
     def test_output_in_range_for_any_input(self, x):
         h = KWiseHash(31, degree=6, seed=8)
         assert 0 <= h(x) < 31
+
+
+class TestKWiseHashBank:
+    """Row ``b`` of one bank pass is member ``b`` hashed on its own."""
+
+    # One degree, different range sizes: the per-row ``mod range`` step
+    # must pick each member's own range.
+    RANGES = (1, 2, 17, 1000, 1 << 20, MERSENNE_P)
+    HASHES = [
+        KWiseHash(range_size, degree=5, seed=seed)
+        for seed, range_size in enumerate(RANGES)
+    ]
+    # Includes inputs at and above the field size, reduced mod p first.
+    XS = np.array(
+        [0, 1, 5, 12_345, MERSENNE_P - 1, MERSENNE_P, MERSENNE_P + 7, 2**40],
+        dtype=np.int64,
+    )
+
+    def _assert_rows_match(self, rows):
+        assert rows.shape == (len(self.HASHES), len(self.XS))
+        assert rows.dtype == np.int64
+        for row, h in zip(rows, self.HASHES):
+            assert np.array_equal(row, h(self.XS))
+            assert row.tolist() == [h(int(x)) for x in self.XS]
+
+    def test_rows_match_member_hashes(self):
+        self._assert_rows_match(KWiseHashBank(self.HASHES).eval_many(self.XS))
+
+    def test_out_buffer_is_filled_and_returned(self):
+        bank = KWiseHashBank(self.HASHES)
+        # A prefix view of a wider buffer, the shape a scratch arena
+        # hands out for a short final chunk.
+        shape = (len(self.HASHES), len(self.XS) + 5)
+        wide = np.full(shape, -1, dtype=np.int64)
+        out = wide[:, : len(self.XS)]
+        rows = bank.eval_many(self.XS, out=out)
+        assert rows is out
+        self._assert_rows_match(rows)
+        assert (wide[:, len(self.XS) :] == -1).all()
 
 
 class TestSignHash:

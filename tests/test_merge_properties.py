@@ -49,13 +49,6 @@ from repro.streams.generators import planted_cover
 # boundaries land mid-group and the batched kernels are stressed.
 FEED_CHUNK = 37
 
-
-@pytest.fixture(autouse=True)
-def _backend(array_backend):
-    """Every merge law runs under every runnable array backend: the
-    operands are built by that backend's fused kernels (see ``_feed``),
-    and the laws must hold on the resulting host state bit-for-bit."""
-
 # 60 distinct items, repeated: comfortably below every candidate-pool
 # capacity in play, so pool merges are exact and order-insensitive on
 # content (commutativity of *answers* is provable there).
@@ -182,17 +175,18 @@ CASES = [
 ]
 
 
-def _feed(algo, tokens):
+def _feed(algo, tokens, as_column):
     """Feed tokens in ragged column batches through ``process_batch``,
-    so the *active array backend's* kernels build the states whose
-    merge laws are under test (scalar/batch equivalence is asserted
-    separately in test_batch_equivalence.py)."""
+    so the batched kernels build the states whose merge laws are under
+    test (scalar/batch equivalence is asserted separately in
+    test_batch_equivalence.py).  ``as_column`` is the ``column_form``
+    fixture: every law must hold whichever form the columns arrive in."""
     if not tokens:
         return algo
     if isinstance(tokens[0], tuple):
-        columns = [np.asarray(c, dtype=np.int64) for c in zip(*tokens)]
+        columns = [as_column(c) for c in zip(*tokens)]
     else:
-        columns = [np.asarray(tokens, dtype=np.int64)]
+        columns = [as_column(tokens)]
     for start in range(0, len(columns[0]), FEED_CHUNK):
         algo.process_batch(
             *(c[start : start + FEED_CHUNK] for c in columns)
@@ -211,10 +205,16 @@ def _clone(case: Case, algo):
     return loads_state(case.factory(), dumps_state(algo))
 
 
-def _parts(case: Case):
+def _parts(case: Case, as_column):
     return [
-        _feed(case.factory(), part) for part in _thirds(case.tokens)
+        _feed(case.factory(), part, as_column)
+        for part in _thirds(case.tokens)
     ]
+
+
+def _receivers(case: Case, as_column):
+    """A fresh and a fed instance: either must refuse a bad merge."""
+    return case.factory(), _feed(case.factory(), case.tokens[:10], as_column)
 
 
 def _assert_same_state(x, y):
@@ -231,30 +231,30 @@ def case(request) -> Case:
 
 
 class TestMergeLaws:
-    def test_associative(self, case):
-        a, b, c = _parts(case)
+    def test_associative(self, case, column_form):
+        a, b, c = _parts(case, column_form)
         left = _clone(case, a).merge(_clone(case, b)).merge(_clone(case, c))
         bc = _clone(case, b).merge(_clone(case, c))
         right = _clone(case, a).merge(bc)
         _assert_same_state(left, right)
         assert case.answer(left) == case.answer(right)
 
-    def test_commutative_answers(self, case):
-        a, b, _c = _parts(case)
+    def test_commutative_answers(self, case, column_form):
+        a, b, _c = _parts(case, column_form)
         ab = _clone(case, a).merge(_clone(case, b))
         ba = _clone(case, b).merge(_clone(case, a))
         assert ab.tokens_seen == ba.tokens_seen
         assert case.answer(ab) == case.answer(ba)
 
-    def test_empty_is_identity(self, case):
-        a, _b, _c = _parts(case)
+    def test_empty_is_identity(self, case, column_form):
+        a, _b, _c = _parts(case, column_form)
         merged = _clone(case, a).merge(case.factory())
         _assert_same_state(merged, a)
         assert case.answer(merged) == case.answer(_clone(case, a))
 
-    def test_merge_matches_single_pass_answer(self, case):
-        single = _feed(case.factory(), case.tokens)
-        a, b, c = _parts(case)
+    def test_merge_matches_single_pass_answer(self, case, column_form):
+        single = _feed(case.factory(), case.tokens, column_form)
+        a, b, c = _parts(case, column_form)
         merged = (
             _clone(case, a).merge(_clone(case, b)).merge(_clone(case, c))
         )
@@ -263,27 +263,30 @@ class TestMergeLaws:
 
 
 class TestMergeValidation:
-    def test_mismatched_parameters_raise(self, case):
-        with pytest.raises(MergeIncompatibleError):
-            case.factory().merge(case.mismatched())
+    def test_mismatched_parameters_raise(self, case, column_form):
+        for receiver in _receivers(case, column_form):
+            with pytest.raises(MergeIncompatibleError):
+                receiver.merge(case.mismatched())
 
-    def test_mismatch_is_a_value_error(self, case):
+    def test_mismatch_is_a_value_error(self, case, column_form):
         """Compatibility contract with the pre-existing suite: parameter
         mismatches are (a subclass of) ValueError."""
-        with pytest.raises(ValueError):
-            case.factory().merge(case.mismatched())
+        for receiver in _receivers(case, column_form):
+            with pytest.raises(ValueError):
+                receiver.merge(case.mismatched())
 
-    def test_foreign_type_raises(self, case):
+    def test_foreign_type_raises(self, case, column_form):
         foreign = (
             F2Sketch(seed=1)
             if not isinstance(case.factory(), F2Sketch)
             else L0Sketch(seed=1)
         )
-        with pytest.raises(TypeError):
-            case.factory().merge(foreign)
+        for receiver in _receivers(case, column_form):
+            with pytest.raises(TypeError):
+                receiver.merge(foreign)
 
-    def test_merge_after_finalize_raises(self, case):
-        algo = _feed(case.factory(), case.tokens[:10])
+    def test_merge_after_finalize_raises(self, case, column_form):
+        algo = _feed(case.factory(), case.tokens[:10], column_form)
         algo.finalize()
         from repro.base import StreamConsumedError
 

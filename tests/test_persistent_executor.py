@@ -331,10 +331,19 @@ class TestConfigValidation:
             PersistentShardExecutor(ESTIMATOR, workers=-2)
         with pytest.raises(ValueError, match="auto"):
             PersistentShardExecutor(ESTIMATOR, workers="three")
+        for bad in (True, 2.5):
+            with pytest.raises(ValueError, match="workers"):
+                PersistentShardExecutor(ESTIMATOR, workers=bad)
+        pool = PersistentShardExecutor(ESTIMATOR, workers=np.int64(2))
+        assert pool.workers == 2 and type(pool.workers) is int
+        pool.close()
 
     def test_bad_chunk_size(self):
         with pytest.raises(ValueError, match="chunk_size"):
             PersistentShardExecutor(ESTIMATOR, chunk_size=0)
+        for bad in (True, 2.5, "fast"):
+            with pytest.raises(ValueError, match="chunk_size"):
+                PersistentShardExecutor(ESTIMATOR, chunk_size=bad)
 
     def test_bad_backend(self):
         with pytest.raises(ValueError, match="backend"):

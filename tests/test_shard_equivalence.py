@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from functools import partial
 
+import numpy as np
 import pytest
 
 from repro import (
@@ -148,6 +149,19 @@ class TestReportShape:
             ShardedStreamRunner(chunk_size=0)
         with pytest.raises(ValueError):
             ShardedStreamRunner(backend="threads")
+        # Sizes are never coerced: bool and float fail, naming the
+        # parameter, while numpy integers are integers.
+        for bad in (True, 2.5):
+            with pytest.raises(ValueError, match="workers"):
+                ShardedStreamRunner(workers=bad)
+        for bad in (True, 4096.9, "fast"):
+            with pytest.raises(ValueError, match="chunk_size"):
+                ShardedStreamRunner(chunk_size=bad)
+        runner = ShardedStreamRunner(
+            workers=np.int64(2), chunk_size=np.int32(64)
+        )
+        assert (runner.workers, runner.chunk_size) == (2, 64)
+        assert type(runner.workers) is int
 
 
 class TestPlannedShardEquivalence:
@@ -236,6 +250,19 @@ class TestAutoWorkers:
         assert report.fallback == ""
         assert len(report.shards) == 1
         assert merged.estimate() == scalar_estimates["random"]
+
+    def test_auto_sizes_a_real_process_pool(self, adversarial_streams):
+        """Unpatched ``os.cpu_count()``: on a multi-core host the shards
+        go through a real process pool, which must pickle the
+        module-level factory."""
+        import os
+
+        stream = adversarial_streams["random"]
+        runner = ShardedStreamRunner(workers="auto", chunk_size=256)
+        assert runner.workers == (os.cpu_count() or 1)
+        merged, report = runner.run(ESTIMATOR, stream)
+        assert report.workers == runner.workers
+        assert merged.tokens_seen == len(stream)
 
     def test_bad_workers_string_rejected(self):
         with pytest.raises(ValueError, match="auto"):
