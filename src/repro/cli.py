@@ -204,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--profile",
         action="store_true",
         help="print the per-kernel wall-clock breakdown of the pass "
-        "(hash evaluation, sketch scatters, candidate pools, ...)",
+        "(hash evaluation, sketch scatters, L0 inserts, ...)",
     )
     bench.add_argument(
         "--autotune",

@@ -135,12 +135,18 @@ class LargeSetRun(StreamingAlgorithm):
         # Case 1: class of <= r1 supersets, phi1 = Omega~(alpha^2/m).
         self.r1 = max(1, int(math.ceil(3.0 * p.s_alpha)))
         self._cntr_small = F2Contributing(
-            p.phi1(), self.r1, seed=rng.integers(0, 2**63)
+            p.phi1(),
+            self.r1,
+            seed=rng.integers(0, 2**63),
+            domain=self.num_supersets,
         )
         # Case 2: class of <= r2 supersets, phi2 = Omega~(1).
         self.r2 = max(2, int(math.ceil(self.num_supersets * p.phi2())))
         self._cntr_large = F2Contributing(
-            p.phi2(), self.r2, seed=rng.integers(0, 2**63)
+            p.phi2(),
+            self.r2,
+            seed=rng.integers(0, 2**63),
+            domain=self.num_supersets,
         )
         # Case 2b: directly sample ~log(m) * |Q| / r2 supersets, measure
         # coverage with L_0 sketches.
@@ -251,11 +257,10 @@ class LargeSetRun(StreamingAlgorithm):
 
         The superset-id column is gathered from the plan's partition
         table; a single stable argsort then yields, at once, the
-        chunk's unique sids, their multiplicities, their first-arrival
-        positions, and contiguous element groups -- replacing the
-        per-counter ``np.unique`` calls and the per-sid boolean masks
-        of the unplanned path.  Bit-identical to
-        ``_process_batch(set_ids, elements)``.
+        chunk's unique sids, their multiplicities and contiguous
+        element groups -- replacing the per-counter ``np.unique`` calls
+        and the per-sid boolean masks of the unplanned path.
+        Bit-identical to ``_process_batch(set_ids, elements)``.
         """
         if self._partition_slot is None:
             self._process_batch(set_ids, elements)
@@ -286,11 +291,10 @@ class LargeSetRun(StreamingAlgorithm):
         counts = np.diff(
             np.concatenate((starts, np.full(1, length, dtype=np.int64)))
         )
-        first_pos = order[starts]
         if profiling:
             PROFILER.add("group-split", PROFILER.clock() - t0)
-        self._cntr_small.ingest_grouped(present, first_pos, counts, sids)
-        self._cntr_large.ingest_grouped(present, first_pos, counts, sids)
+        self._cntr_small.ingest_grouped(present, counts, length)
+        self._cntr_large.ingest_grouped(present, counts, length)
         ss_slot = self._ss_slot
         if ss_slot.trivial:
             sampled = np.arange(len(present), dtype=np.int64)

@@ -2,9 +2,9 @@
 
 ``repro bench --profile`` flips :data:`PROFILER` on for one measured
 pass and prints where the time went: k-wise hash evaluation, sketch
-scatter updates, candidate-pool maintenance, distinct-element inserts,
-shard merging.  The categories are coarse by design -- they answer
-"which kernel family should the next perf PR attack", not "which line".
+scatter updates, distinct-element inserts, shard merging.  The
+categories are coarse by design -- they answer "which kernel family
+should the next perf PR attack", not "which line".
 
 Instrumented call sites guard on :attr:`KernelProfiler.enabled` before
 touching the clock, so the disabled profiler costs one attribute check

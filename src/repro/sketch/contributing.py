@@ -77,6 +77,14 @@ class F2Contributing(StreamingAlgorithm):
     survivors:
         Target number of class members surviving subsampling per level
         (``Theta(log m)`` in the paper).
+    depth:
+        CountSketch depth of every level's heavy-hitter sketch.
+    domain:
+        Size of the coordinate space when the caller knows it (the
+        ``LargeSet`` superset ids), forwarded to every level's
+        :class:`~repro.sketch.countsketch.F2HeavyHitter`: the levels then
+        hold CountSketch tables only and score the whole domain at
+        finalise.  ``None`` keeps an online candidate pool per level.
     """
 
     def __init__(
@@ -87,6 +95,7 @@ class F2Contributing(StreamingAlgorithm):
         phi_scale: float = 8.0,
         survivors: int = 8,
         depth: int = 4,
+        domain: int | None = None,
     ):
         super().__init__()
         if not 0 < gamma <= 1:
@@ -109,7 +118,10 @@ class F2Contributing(StreamingAlgorithm):
             )
             self._sketches.append(
                 F2HeavyHitter(
-                    phi, depth=depth, seed=rng.integers(0, 2**63)
+                    phi,
+                    depth=depth,
+                    seed=rng.integers(0, 2**63),
+                    domain=domain,
                 )
             )
         # One stacked hash pass classifies a chunk for every level.
@@ -141,44 +153,23 @@ class F2Contributing(StreamingAlgorithm):
             return self._keep_tables[:, unique]
         return self._sampler_bank.contains_matrix(unique)
 
-    def ingest_grouped(
-        self, unique, first_seen, counts, raw_items
-    ) -> None:
-        """Planned kernel over pre-deduplicated arrivals.
+    def ingest_grouped(self, unique, counts, total_len) -> None:
+        """Domain-mode kernel over pre-deduplicated arrivals.
 
-        The caller (``LargeSetRun``'s planned kernel) groups a chunk's
-        superset ids once; every level then slices the shared
-        ``unique``/``counts`` arrays by its survivor mask instead of
-        re-deduplicating the raw sequence per level.  ``raw_items`` is
-        the raw per-position sequence, only materialised per level when
-        a sketch's candidate pool needs windowed replay.  Bit-identical
-        to ``process_batch(raw_items)``.
+        The caller (``LargeSetRun``'s planned kernel) groups a chunk of
+        ``total_len`` superset ids once into sorted ``unique`` ids and
+        their ``counts``; every level then slices the shared arrays by
+        its survivor mask instead of re-deduplicating the raw sequence
+        per level.  Bit-identical to ``process_batch`` on the raw ids.
         """
         self._check_open()
-        total_len = len(raw_items)
         self._tokens_seen += total_len
         keep = self._level_keep(unique)
-        for level, sketch in enumerate(self._sketches):
-            row = keep[level]
+        for sketch, row in zip(self._sketches, keep):
             level_counts = counts[row]
             level_total = int(level_counts.sum())
-            if level_total == 0:
-                continue
-            sampler = self._samplers[level]
-            if sampler.buckets == 1:
-                replay = lambda raw=raw_items: raw
-            elif (
-                self._keep_tables is not None
-            ):
-                table = self._keep_tables[level]
-                replay = lambda raw=raw_items, t=table: raw[t[raw]]
-            else:
-                replay = lambda raw=raw_items, s=sampler: raw[
-                    s.contains_many(raw)
-                ]
-            sketch.ingest_unique(
-                unique[row], first_seen[row], level_counts, level_total, replay
-            )
+            if level_total:
+                sketch.ingest_unique(unique[row], level_counts, level_total)
 
     def _process(self, item, count: int = 1) -> None:
         item = int(item)

@@ -9,11 +9,14 @@ frequency, in ``O~(1/phi)`` space.  We implement the standard recipe:
   ``width`` counters, each row pairing a 4-wise bucket hash with a 4-wise
   sign hash.  ``query(i)`` medians the signed counters; the per-row error
   is ``sqrt(F_2 / width)`` with constant probability.
-* :class:`F2HeavyHitter` -- wraps a CountSketch and tracks a bounded pool
-  of candidate items online (the classic heap-based construction for
-  insertion streams), plus a row-norm ``F_2`` estimate.  ``heavy_hitters``
-  returns candidates whose estimated frequency clears
-  ``sqrt(phi * F_2-estimate)``.
+* :class:`F2HeavyHitter` -- wraps a CountSketch, whose row norms give
+  the ``F_2`` estimate, and reports coordinates whose estimated
+  frequency clears ``sqrt(phi * F_2-estimate)``.  When the caller knows
+  the coordinate space ``[0, domain)`` (``LargeSet``'s superset ids) the
+  table is the whole state: finalisation scores every coordinate with
+  one vectorised median, the ``findHH`` shape.  Otherwise a bounded pool
+  of candidate items is tracked online (the classic heap-based
+  construction for insertion streams).
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import numpy as np
 from repro.base import (
     MergeIncompatibleError,
     StreamingAlgorithm,
+    check_positive_int,
     pack_state,
     unpack_state,
 )
@@ -36,10 +40,6 @@ __all__ = ["CountSketch", "F2HeavyHitter"]
 #: ``depth * width`` table, add.at touches ``depth * uniques`` cells
 #: with a far larger per-element constant.
 _BINCOUNT_FACTOR = 16
-
-# Rank sentinel for pool replay: sorts after every real insertion rank
-# (ranks are bounded by pool size + chunk length, far below 2**62).
-_ABSENT = np.int64(1) << 62
 
 
 def _unique_grouped(items):
@@ -197,6 +197,15 @@ class CountSketch(StreamingAlgorithm):
             self._sign_tables = np.where(np.stack(sign_rows) == 1, 1, -1)
         return self._bucket_tables[:, items], self._sign_tables[:, items]
 
+    def _rows(self, items):
+        """``(buckets, signs)`` for ``items``: gathered from the plan's
+        domain tables when they exist, hashed by the row banks otherwise."""
+        buckets, signs = self._planned_rows(items)
+        if buckets is None:
+            buckets = self._bucket_bank.eval_many(items)
+            signs = np.where(self._sign_bank.eval_many(items) == 1, 1, -1)
+        return buckets, signs
+
     def update_grouped(self, items: np.ndarray, sums: np.ndarray) -> None:
         """Update from pre-deduplicated ``(items, sums)`` pairs.
 
@@ -207,10 +216,7 @@ class CountSketch(StreamingAlgorithm):
         it produces is bit-identical to :meth:`update_batch` on the raw
         items.
         """
-        buckets, signs = self._planned_rows(items)
-        if buckets is None:
-            buckets = self._bucket_bank.eval_many(items)
-            signs = np.where(self._sign_bank.eval_many(items) == 1, 1, -1)
+        buckets, signs = self._rows(items)
         self._scatter(buckets, signs, sums)
 
     def query(self, item: int) -> float:
@@ -222,6 +228,13 @@ class CountSketch(StreamingAlgorithm):
             for row in range(self.depth)
         ]
         return float(np.median(estimates))
+
+    def query_many(self, items) -> np.ndarray:
+        """:meth:`query` for every item at once: the same floats, from
+        one gather and one median over the rows."""
+        buckets, signs = self._rows(np.asarray(items, dtype=np.int64))
+        rows = np.arange(self.depth)[:, None]
+        return np.median(signs * self._table[rows, buckets], axis=0)
 
     def f2_estimate(self) -> float:
         """Median over rows of the row's squared norm: an ``F_2`` estimate.
@@ -281,23 +294,41 @@ class F2HeavyHitter(StreamingAlgorithm):
         ``sqrt(phi * F_2) * slack``.  The default ``0.5`` errs towards
         recall, matching how the paper's callers use the output (they
         re-validate against explicit thresholds).
+    domain:
+        Size of the coordinate space, for callers that know it: every
+        item must lie in ``[0, domain)`` (others raise ``ValueError``).
+        The CountSketch table is then the whole state and
+        :meth:`peek_heavy_hitters` scores every coordinate, so nothing
+        depends on arrival order and scalar, batched and merged runs
+        are bit-identical.  ``None`` (the default) tracks a bounded
+        candidate pool online instead.
     """
 
-    def __init__(self, phi: float, depth: int = 5, seed=0, slack: float = 0.5):
+    def __init__(
+        self,
+        phi: float,
+        depth: int = 5,
+        seed=0,
+        slack: float = 0.5,
+        domain: int | None = None,
+    ):
         super().__init__()
         if not 0 < phi <= 1:
             raise ValueError(f"phi must be in (0, 1], got {phi}")
         self.phi = float(phi)
         self.slack = float(slack)
         self.seed = seed
+        self.domain = (
+            None if domain is None else check_positive_int("domain", domain)
+        )
         # Width O(1/phi) makes a phi-heavy coordinate dominate its bucket.
         width = max(8, int(np.ceil(8.0 / phi)))
         self._sketch = CountSketch(width=width, depth=depth, seed=seed)
         self.capacity = max(4, int(np.ceil(4.0 / phi)))
-        # The pool prunes on a deterministic token schedule -- every
-        # ``prune_period`` arrivals -- rather than on overflow.  The
-        # schedule depends only on how many tokens the pool has seen,
-        # so scalar and batch processing prune at identical stream
+        # The open-domain pool prunes on a deterministic token schedule
+        # -- every ``prune_period`` arrivals -- rather than on overflow.
+        # The schedule depends only on how many tokens the pool has
+        # seen, so scalar and batch processing prune at identical stream
         # positions and the pool state is bit-identical however the
         # stream is chunked.  Between prunes at most ``prune_period``
         # new items enter, so the pool stays O(capacity).
@@ -305,8 +336,21 @@ class F2HeavyHitter(StreamingAlgorithm):
         self._pool_tokens = 0
         self._candidates: dict[int, float] = {}
 
+    def _check_domain(self, low: int, high: int) -> None:
+        """Raise ``ValueError`` unless ``low..high`` lies in ``[0, domain)``."""
+        if low < 0 or high >= self.domain:
+            item = low if low < 0 else high
+            raise ValueError(
+                f"item {item} is outside the heavy-hitter domain "
+                f"[0, {self.domain})"
+            )
+
     def _process(self, item, count: int = 1) -> None:
         item = int(item)
+        if self.domain is not None:
+            self._check_domain(item, item)
+            self._sketch.update(item, count)
+            return
         self._sketch.update(item, count)
         # Candidate tracking via exact running counts: on insertion-only
         # streams an item's substream frequency is just its arrival count,
@@ -322,14 +366,19 @@ class F2HeavyHitter(StreamingAlgorithm):
         """Vectorised kernel, bit-identical to the scalar path.
 
         The CountSketch table is linear, so the batched scatter-add
-        reproduces it exactly.  The candidate pool prunes at token
-        positions fixed by ``prune_period``; when no new candidate can
-        enter (or the pool cannot exceed its cap before the chunk
-        ends), the whole chunk accumulates in one pass, otherwise the
-        chunk is cut at the scheduled prune positions and each window
-        accumulates vectorised.  New candidates are inserted in
-        first-arrival order because pruning ties break by dict order.
+        reproduces it exactly; in domain mode that is the whole update.
+        The open-domain pool prunes at token positions fixed by
+        ``prune_period``; when no new candidate can enter (or the pool
+        cannot exceed its cap before the chunk ends), the whole chunk
+        accumulates in one pass, otherwise the chunk is cut at the
+        scheduled prune positions and each window accumulates
+        vectorised.  New candidates are inserted in first-arrival order
+        because pruning ties break by dict order.
         """
+        if self.domain is not None:
+            self._check_domain(int(items.min()), int(items.max()))
+            self._sketch.update_batch(items)
+            return
         self._sketch.update_batch(items)
         unique, first_seen, counts = _unique_grouped(items)
         new_items = sum(
@@ -352,57 +401,33 @@ class F2HeavyHitter(StreamingAlgorithm):
             return
         self._replay_windows(items)
 
-    def ingest_unique(
-        self, unique, first_seen, counts, total_len, raw_items
-    ) -> None:
-        """Planned kernel over pre-deduplicated arrivals.
+    def ingest_unique(self, unique, counts, total_len) -> None:
+        """Domain-mode kernel over pre-deduplicated arrivals.
 
-        ``unique``/``first_seen``/``counts`` describe ``total_len``
-        arrivals the caller already grouped (``first_seen`` only needs
-        to order items by first arrival; any monotone positions do).
-        ``raw_items`` is a zero-argument callable producing the raw
-        per-position item sequence -- only invoked on the slow path,
-        when a scheduled prune with possible evictions forces windowed
-        replay.  State after this call is bit-identical to
-        ``_process_batch`` on the raw sequence.
+        ``unique`` holds the sorted distinct items of ``total_len``
+        arrivals and ``counts`` their multiplicities.  With no pool to
+        maintain, the grouped scatter is the whole update, and the state
+        is bit-identical to ``process_batch`` on the raw arrivals.
         """
+        if self.domain is None:
+            raise TypeError(
+                "ingest_unique needs a domain-mode F2HeavyHitter (domain=...)"
+            )
         self._check_open()
+        if len(unique):
+            self._check_domain(int(unique[0]), int(unique[-1]))
         self._tokens_seen += total_len
         self._sketch.update_grouped(unique, counts)
-        profiling = PROFILER.enabled
-        t0 = PROFILER.clock() if profiling else 0.0
-        candidates = self._candidates
-        crosses_boundary = (
-            self._pool_tokens % self.prune_period + total_len
-            >= self.prune_period
-        )
-        if not crosses_boundary:
-            self._accumulate(unique, first_seen, counts)
-            self._pool_tokens += total_len
-        else:
-            # len(unique) bounds the new-item count; only fall back to
-            # the exact membership scan when the bound is inconclusive.
-            if len(candidates) + len(unique) <= self.capacity or len(
-                candidates
-            ) + sum(
-                1 for item in unique.tolist() if item not in candidates
-            ) <= self.capacity:
-                self._accumulate(unique, first_seen, counts)
-                self._pool_tokens += total_len
-                self._prune()
-            else:
-                self._replay_windows(raw_items())
-        if profiling:
-            PROFILER.add("pool", PROFILER.clock() - t0)
 
     def _replay_windows(self, items: np.ndarray) -> None:
         """Window-exact vectorised replay of the prune schedule.
 
         Cuts ``items`` at the scheduled prune positions, folds each
-        window with one grouped accumulation on a numpy view of the
-        pool, and prunes between complete windows with the same
-        selection rule as :meth:`_prune` (count descending, ties to
-        earlier insertion) -- so the final pool is bit-identical to the
+        window with one grouped accumulation into the pool, held as
+        parallel ``(keys, counts)`` arrays looked up by binary search,
+        and prunes between complete windows with the same selection
+        rule as :meth:`_prune` (count descending, ties to earlier
+        insertion) -- so the final pool is bit-identical to the
         per-token reference loop.
         """
         length = len(items)
@@ -410,27 +435,11 @@ class F2HeavyHitter(StreamingAlgorithm):
             return
         period = self.prune_period
         offset = self._pool_tokens % period
-        positions = np.arange(length, dtype=np.int64)
-        window = (offset + positions) // period
+        window = (offset + np.arange(length, dtype=np.int64)) // period
         stride = int(items.max()) + 1
-        combined = window * stride + items
-        num_windows = int(window[-1]) + 1
-        nbins = num_windows * stride
-        if nbins <= (1 << 18):
-            # Group by (window, item) with counting instead of sorting:
-            # the combined key space is small, so one bincount plus a
-            # reversed position scatter (advanced-indexing assignment
-            # keeps the last write, so reversing keeps the first
-            # arrival) beats the O(n log n) sorting groupby.
-            per_key = np.bincount(combined, minlength=nbins).astype(np.int64)
-            uniq = np.flatnonzero(per_key)
-            cnt = per_key[uniq]
-            first_at = np.empty(nbins, dtype=np.int64)
-            first_at[combined[::-1]] = positions[::-1]
-            first = first_at[uniq]
-        else:
-            uniq, first, cnt = _unique_grouped(combined)
+        uniq, first, cnt = _unique_grouped(window * stride + items)
         item_of = uniq % stride
+        num_windows = int(window[-1]) + 1
         bounds = np.searchsorted(
             uniq, np.arange(num_windows + 1, dtype=np.int64) * stride
         ).tolist()
@@ -439,63 +448,7 @@ class F2HeavyHitter(StreamingAlgorithm):
         n_complete = (length + offset) // period
         pool = self._candidates
         cap = self.capacity
-        pool_keys = np.fromiter(pool.keys(), dtype=np.int64, count=len(pool))
-        domain = int(max(stride, pool_keys.max() + 1 if len(pool) else 0))
-        if domain <= (1 << 16):
-            # Dense mode: the item domain is small enough to index
-            # directly, so each window is a handful of O(window) gathers
-            # and scatters with no per-window sort of the pool.  The
-            # scratch arrays are recomputable views of the dict -- a
-            # speed cache, not charged state.  ``ranks`` holds insertion
-            # ranks (``_ABSENT`` marks non-members); ``neg_counts``
-            # holds negated counts so ``lexsort``'s ascending order is
-            # count descending.
-            ranks = np.full(domain, _ABSENT, dtype=np.int64)
-            ranks[pool_keys] = np.arange(len(pool), dtype=np.int64)
-            neg_counts = np.zeros(domain, dtype=np.int64)
-            neg_counts[pool_keys] = -np.fromiter(
-                pool.values(), dtype=np.int64, count=len(pool)
-            )
-            # Compact roster of current members (any order): pruning
-            # sorts this short array instead of scanning the domain.
-            roster = pool_keys
-            # Insertion rank = pool size + first-arrival position
-            # (positions are globally monotone across windows, so later
-            # windows always rank after earlier insertions).
-            rank_of = first + len(pool)
-            lo = bounds[0]
-            for index in range(num_windows):
-                hi = bounds[index + 1]
-                arrivals = item_of[lo:hi]
-                # Evicted slots are reset below, so one fused
-                # scatter-sub covers resumed, fresh, and known items
-                # alike (arrivals are distinct within a window).
-                neg_counts[arrivals] -= cnt[lo:hi]
-                missing = ranks[arrivals] == _ABSENT
-                fresh = arrivals[missing]
-                if len(fresh):
-                    ranks[fresh] = rank_of[lo:hi][missing]
-                    roster = np.concatenate((roster, fresh))
-                if len(roster) > cap and index < n_complete:
-                    selection = np.lexsort(
-                        (ranks[roster], neg_counts[roster])
-                    )
-                    ordered = roster[selection]
-                    evicted = ordered[cap:]
-                    ranks[evicted] = _ABSENT
-                    neg_counts[evicted] = 0
-                    roster = ordered[:cap]
-                lo = hi
-            kept = roster[np.argsort(ranks[roster], kind="stable")]
-            self._pool_tokens += length
-            self._candidates = dict(
-                zip(kept.tolist(), (-neg_counts[kept]).tolist())
-            )
-            return
-        # Sorted-key mode for large item domains: same windows, pool
-        # kept as parallel (keys, counts) arrays looked up by binary
-        # search.
-        keys = pool_keys
+        keys = np.fromiter(pool.keys(), dtype=np.int64, count=len(pool))
         vals = np.fromiter(pool.values(), dtype=np.int64, count=len(pool))
         for index in range(num_windows):
             lo, hi = bounds[index], bounds[index + 1]
@@ -577,12 +530,19 @@ class F2HeavyHitter(StreamingAlgorithm):
         """Mid-stream snapshot of :meth:`heavy_hitters` (no finalise).
 
         A monitoring hook: the single-pass contract is unaffected, the
-        pass may continue afterwards.
+        pass may continue afterwards.  Domain mode scores all of
+        ``[0, domain)`` at once, a superset of what any pool holds, so
+        its report contains the open-domain report with equal
+        frequencies.
         """
         f2 = self._sketch.f2_estimate()
         if f2 <= 0:
             return {}
         threshold = self.slack * np.sqrt(self.phi * f2)
+        if self.domain is not None:
+            estimates = self._sketch.query_many(np.arange(self.domain))
+            heavy = np.flatnonzero(estimates >= threshold)
+            return dict(zip(heavy.tolist(), estimates[heavy].tolist()))
         result = {}
         for item in self._candidates:
             estimate = self._sketch.query(item)
@@ -595,59 +555,66 @@ class F2HeavyHitter(StreamingAlgorithm):
             other.phi != self.phi
             or other.seed != self.seed
             or other.slack != self.slack
+            or other.domain != self.domain
         ):
             raise MergeIncompatibleError(
                 "can only merge heavy-hitter sketches with identical "
-                "seed, phi, and slack"
+                "seed, phi, slack, and domain"
             )
 
     def _merge(self, other: "F2HeavyHitter") -> None:
-        """Deterministic pool reconciliation on the combined token schedule.
+        """Add the tables; reconcile the open-domain pools.
 
-        The CountSketch merges exactly (linear).  Candidate counts are
-        exact per-shard arrival counts on insertion-only streams, so
-        summing them -- ``self``'s pool first, then ``other``'s new
-        items in their arrival order -- reproduces the single pass's
-        exact counts *and* its first-arrival insertion order, provided
-        shards merge in stream order.  The combined pool has passed
-        ``pool_tokens // prune_period`` scheduled prunes; pruning is a
-        no-op on a pool at or below capacity, so one prune at the merged
-        token offset restores the schedule's invariant deterministically
-        (shard count never changes the answer).  Whenever no scheduled
-        prune ever evicts -- the regime the ``O~(1/phi)`` capacity is
-        sized for -- the merged pool is bit-identical to the single
-        pass's.
+        The CountSketch merges exactly (linear), which in domain mode is
+        the whole merge: exact for any shard split and merge order.
+        Open-domain candidate counts are exact per-shard arrival counts
+        on insertion-only streams, so summing them -- ``self``'s pool
+        first, then ``other``'s new items in their arrival order --
+        reproduces the single pass's exact counts *and* its
+        first-arrival insertion order, provided shards merge in stream
+        order.  The combined pool has passed ``pool_tokens //
+        prune_period`` scheduled prunes; pruning is a no-op on a pool at
+        or below capacity, so one prune at the merged token offset
+        restores the schedule's invariant deterministically.  The merged
+        pool equals the single pass's only while no scheduled prune ever
+        evicts; under eviction pressure it may keep other candidates.
         """
         self._sketch.merge(other._sketch)
+        if self.domain is not None:
+            return
         for item, count in other._candidates.items():
             self._candidates[item] = self._candidates.get(item, 0) + count
         self._pool_tokens += other._pool_tokens
         self._prune()
 
     def _state_arrays(self) -> dict:
-        state = {
+        state: dict = {}
+        if self.domain is None:
             # Keys in dict order: the pool's first-arrival insertion
             # order is part of the state (prune ties break by it).
-            "pool_items": np.asarray(
+            state["pool_items"] = np.asarray(
                 list(self._candidates.keys()), dtype=np.int64
-            ),
-            "pool_counts": np.asarray(
+            )
+            state["pool_counts"] = np.asarray(
                 list(self._candidates.values()), dtype=np.int64
-            ),
-            "pool_tokens": np.asarray(self._pool_tokens, dtype=np.int64),
-        }
+            )
+            state["pool_tokens"] = np.asarray(self._pool_tokens, dtype=np.int64)
         pack_state(state, "sketch", self._sketch.state_arrays())
         return state
 
     def _load_state_arrays(self, state: dict) -> None:
-        self._candidates = {
-            int(item): int(count)
-            for item, count in zip(
-                state["pool_items"], state["pool_counts"]
-            )
-        }
-        self._pool_tokens = int(state["pool_tokens"])
+        if self.domain is None:
+            self._candidates = {
+                int(item): int(count)
+                for item, count in zip(
+                    state["pool_items"], state["pool_counts"]
+                )
+            }
+            self._pool_tokens = int(state["pool_tokens"])
         self._sketch.load_state_arrays(unpack_state(state, "sketch"))
 
     def space_words(self) -> int:
-        return self._sketch.space_words() + 2 * self.capacity + 2
+        words = self._sketch.space_words()
+        if self.domain is None:
+            words += 2 * self.capacity + 2
+        return words

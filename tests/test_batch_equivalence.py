@@ -229,15 +229,26 @@ class TestEvictionPressure:
     Regression guard for the windowed pool replay: streams engineered
     so items are evicted and later re-arrive (the hard case for any
     vectorised prune schedule) must still match the per-token pool
-    exactly -- contents, counts, *and* dict insertion order.
+    exactly -- contents, counts, *and* dict insertion order.  Domain
+    mode keeps no pool, so on the same streams its scalar, chunked and
+    2-way-merged states must be byte-identical, where merged pools may
+    diverge.
     """
+
+    @staticmethod
+    def _cycling():
+        return np.concatenate([np.arange(24, dtype=np.int64) % 12] * 40)
+
+    @staticmethod
+    def _evict_rearrive(domain):
+        rng = np.random.default_rng(17)
+        return rng.zipf(1.3, size=4000).astype(np.int64) % domain
 
     @pytest.mark.parametrize("chunk_size", (1, 5, 24, 1000))
     def test_cycling_items_match_scalar(self, chunk_size):
         from repro.sketch.countsketch import F2HeavyHitter
 
-        items = np.arange(24, dtype=np.int64) % 12
-        items = np.concatenate([items] * 40)
+        items = self._cycling()
         scalar = F2HeavyHitter(0.5, depth=2, seed=3)
         for item in items.tolist():
             scalar.process(item)
@@ -253,8 +264,7 @@ class TestEvictionPressure:
     def test_evict_rearrive_matches_scalar(self, domain):
         from repro.sketch.countsketch import F2HeavyHitter
 
-        rng = np.random.default_rng(17)
-        items = rng.zipf(1.3, size=4000).astype(np.int64) % domain
+        items = self._evict_rearrive(domain)
         scalar = F2HeavyHitter(0.1, depth=2, seed=3)
         for item in items.tolist():
             scalar.process(item)
@@ -267,6 +277,37 @@ class TestEvictionPressure:
         assert np.array_equal(
             chunked._sketch._table, scalar._sketch._table
         )
+
+    @pytest.mark.parametrize(
+        "phi, domain, chunk_size",
+        [(0.5, None, 5), (0.1, 16, 333), (0.1, 200, 333), (0.1, 1 << 20, 333)],
+        ids=["cycling", "evict-16", "evict-200", "evict-1048576"],
+    )
+    def test_domain_mode_scalar_chunked_merged_identical(
+        self, phi, domain, chunk_size
+    ):
+        from repro.sketch.countsketch import F2HeavyHitter
+
+        if domain is None:
+            items, domain = self._cycling(), 12
+        else:
+            items = self._evict_rearrive(domain)
+        make = partial(F2HeavyHitter, phi, depth=2, seed=3, domain=domain)
+        scalar = make()
+        for item in items.tolist():
+            scalar.process(item)
+        chunked = make()
+        for start in range(0, len(items), chunk_size):
+            chunked.process_batch(items[start : start + chunk_size])
+        half = len(items) // 2
+        merged = make().process_batch(items[:half])
+        merged.merge(make().process_batch(items[half:]))
+        reference = scalar.state_arrays()
+        for other in (chunked, merged):
+            assert state_difference(
+                other.state_arrays(), reference, order_free=()
+            ) is None
+        assert merged.heavy_hitters() == scalar.heavy_hitters()
 
 
 class TestOutOfDomainFallback:

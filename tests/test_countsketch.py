@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.base import StreamConsumedError
+from repro.base import MergeIncompatibleError, StreamConsumedError
+from repro.engine.plan import EvalPlan
 from repro.sketch.countsketch import CountSketch, F2HeavyHitter
 
 
@@ -67,6 +68,24 @@ class TestCountSketch:
             CountSketch(width=0)
         with pytest.raises(ValueError):
             CountSketch(depth=0)
+
+    @pytest.mark.parametrize("depth", (4, 5))
+    @pytest.mark.parametrize("tabulated", (False, True))
+    def test_query_many_matches_query(self, depth, tabulated):
+        """Bit-for-bit the scalar floats, hashed or read from the plan's
+        domain tables (even depth averages the two middle rows)."""
+        cs = CountSketch(width=16, depth=depth, seed=8)
+        rng = np.random.default_rng(8)
+        cs.update_batch(rng.integers(0, 200, size=3000))
+        if tabulated:
+            plan = EvalPlan(set_domain=200, elem_domain=1)
+            cs._register_plan(plan, plan.sets)
+        ids = np.arange(200)
+        many = cs.query_many(ids)
+        assert (cs._bucket_tables is not None) == tabulated
+        scalar = np.array([cs.query(i) for i in ids.tolist()])
+        assert many.dtype == np.float64
+        assert many.tobytes() == scalar.tobytes()
 
     def test_median_robust_to_one_bad_row(self):
         """Depth 5 medians tolerate collisions in a minority of rows."""
@@ -151,3 +170,81 @@ class TestF2HeavyHitter:
             F2HeavyHitter(phi=0.0)
         with pytest.raises(ValueError):
             F2HeavyHitter(phi=1.5)
+
+
+def _zipf_items(domain: int, size: int = 4000) -> np.ndarray:
+    rng = np.random.default_rng(17)
+    return rng.zipf(1.3, size=size).astype(np.int64) % domain
+
+
+class TestDomainMode:
+    """``F2HeavyHitter(domain=D)``: no pool, every coordinate scored."""
+
+    @pytest.mark.parametrize("domain", (0, -3, True, 2.5, "8"))
+    def test_rejects_bad_domain(self, domain):
+        with pytest.raises(ValueError, match="domain"):
+            F2HeavyHitter(phi=0.1, domain=domain)
+
+    @pytest.mark.parametrize("bad", (-1, 50))
+    @pytest.mark.parametrize("entry", ("process", "process_batch", "ingest_unique"))
+    def test_out_of_domain_id_raises(self, entry, bad):
+        hh = F2HeavyHitter(phi=0.1, seed=1, domain=50)
+        items = np.array(sorted([3, bad, 7]), dtype=np.int64)
+        with pytest.raises(ValueError, match=rf"item {bad} .*\[0, 50\)"):
+            if entry == "process":
+                hh.process(bad)
+            elif entry == "process_batch":
+                hh.process_batch(items[::-1])
+            else:
+                hh.ingest_unique(items, np.ones(3, dtype=np.int64), 3)
+        assert not hh._sketch._table.any()
+
+    def test_ingest_unique_needs_domain(self):
+        hh = F2HeavyHitter(phi=0.1, seed=1)
+        with pytest.raises(TypeError, match="domain"):
+            hh.ingest_unique(np.array([1]), np.array([1]), 1)
+
+    @pytest.mark.parametrize("domain", (16, 200, 4096))
+    @pytest.mark.parametrize("phi", (0.05, 0.1, 0.3))
+    def test_contains_open_domain_report(self, domain, phi):
+        """Every key the pool reports, with an equal frequency."""
+        items = _zipf_items(domain)
+        pooled = F2HeavyHitter(phi, depth=3, seed=5)
+        scanned = F2HeavyHitter(phi, depth=3, seed=5, domain=domain)
+        pooled.process_batch(items)
+        scanned.process_batch(items)
+        pool_report = pooled.heavy_hitters()
+        scan_report = scanned.heavy_hitters()
+        assert pool_report
+        for item, frequency in pool_report.items():
+            assert scan_report[item] == frequency
+
+    def test_ingest_unique_matches_process_batch(self):
+        items = _zipf_items(200)
+        batched = F2HeavyHitter(0.1, seed=2, domain=200)
+        batched.process_batch(items)
+        grouped = F2HeavyHitter(0.1, seed=2, domain=200)
+        unique, counts = np.unique(items, return_counts=True)
+        grouped.ingest_unique(unique, counts, len(items))
+        assert np.array_equal(grouped._sketch._table, batched._sketch._table)
+        assert grouped.tokens_seen == batched.tokens_seen == len(items)
+
+    def test_space_words_drop_pool_charge(self):
+        pooled = F2HeavyHitter(phi=0.1, seed=1)
+        scanned = F2HeavyHitter(phi=0.1, seed=1, domain=200)
+        assert scanned.space_words() == (
+            pooled.space_words() - 2 * pooled.capacity - 2
+        )
+        assert set(scanned.state_arrays()) == {
+            "sketch/table", "sketch/tokens", "tokens"
+        }
+
+    def test_merge_rejects_other_domain(self):
+        with pytest.raises(MergeIncompatibleError):
+            F2HeavyHitter(0.1, seed=1, domain=200).merge(
+                F2HeavyHitter(0.1, seed=1, domain=100)
+            )
+        with pytest.raises(MergeIncompatibleError):
+            F2HeavyHitter(0.1, seed=1, domain=200).merge(
+                F2HeavyHitter(0.1, seed=1)
+            )
