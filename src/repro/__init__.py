@@ -24,7 +24,8 @@ Package map
     ``L_0``, ``F_2``, CountSketch heavy hitters, contributing classes,
     set/element sampling.
 ``repro.coverage``
-    Set systems and offline solvers (greedy, lazy greedy, exact).
+    Set systems and offline solvers (greedy, lazy greedy, array greedy,
+    exact).
 ``repro.streams``
     The edge-arrival stream model and synthetic workload families.
 ``repro.baselines``
@@ -65,6 +66,7 @@ from repro.core import (
 )
 from repro.coverage import (
     SetSystem,
+    array_greedy,
     exact_max_cover,
     greedy_max_cover,
     lazy_greedy,
@@ -111,6 +113,7 @@ __all__ = [
     "ReportedCover",
     # coverage
     "SetSystem",
+    "array_greedy",
     "greedy_max_cover",
     "lazy_greedy",
     "exact_max_cover",

@@ -432,6 +432,7 @@ def _cmd_experiment(args) -> int:
 
 def _cmd_bench(args) -> int:
     import functools
+    import time
 
     from repro.engine.profile import PROFILER
 
@@ -453,9 +454,13 @@ def _cmd_bench(args) -> int:
     finally:
         if args.profile:
             PROFILER.stop()
+    start = time.perf_counter()
+    estimate = algo.estimate()
+    finalize_seconds = time.perf_counter() - start
     print(f"tokens: {report.tokens}")
     print(f"seconds: {report.seconds:.3f}")
-    print(f"estimate: {algo.estimate():.1f}")
+    print(f"finalize_seconds: {finalize_seconds:.3f}")
+    print(f"estimate: {estimate:.1f}")
     print(f"space_words: {algo.space_words()}")
     _print_throughput(args, report)
     if report.autotune is not None:

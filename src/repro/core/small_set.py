@@ -37,8 +37,9 @@ from repro.base import (
     unpack_state,
 )
 from repro.core.parameters import Parameters
-from repro.coverage.greedy import lazy_greedy
-from repro.coverage.setsystem import SetSystem
+from repro.coverage.greedy import array_greedy
+# Unused here, but benchmarks/e2e/tracing.py patches it by this name.
+from repro.coverage.greedy import lazy_greedy  # noqa: F401
 from repro.sketch.element_sampling import ElementSampler
 from repro.sketch.hashing import SampledSetBank, same_sampled_set
 from repro.sketch.set_sampling import SetSampler
@@ -74,10 +75,13 @@ class SmallSetRun:
         self._elem_memo: dict[int, bool] = {}
         self._stride = self.element_sampler.n
 
-    def iter_edges(self) -> list[tuple[int, int]]:
-        """Stored edges decoded back to ``(set_id, element)`` pairs."""
-        stride = self._stride
-        return [(edge // stride, edge % stride) for edge in self.edges]
+    def _sorted_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Stored edges as ``(set_ids, elements)`` arrays in pair order."""
+        packed = np.fromiter(
+            self.edges, dtype=np.int64, count=len(self.edges)
+        )
+        packed.sort()
+        return np.divmod(packed, self._stride)
 
     def feed_batch(self, set_ids, elements) -> None:
         """Vectorised :meth:`feed` over parallel arrays."""
@@ -165,20 +169,32 @@ class SmallSetRun:
         return self
 
     def state_arrays(self) -> dict:
-        packed = np.fromiter(
-            self.edges, dtype=np.int64, count=len(self.edges)
-        )
-        packed.sort()
-        set_ids, elements = np.divmod(packed, self._stride)
+        set_ids, elements = self._sorted_pairs()
         return {
             "edges": np.column_stack((set_ids, elements)).reshape(-1, 2),
             "alive": np.asarray(self.alive, dtype=np.bool_),
         }
 
     def load_state_arrays(self, state: dict) -> None:
-        self.edges = {
-            int(s) * self._stride + int(e) for s, e in state["edges"]
-        }
+        edges = np.asarray(state["edges"])
+        if edges.ndim != 2 or edges.shape[1] != 2 or (
+            edges.size and edges.dtype.kind not in "iu"
+        ):
+            raise ValueError(
+                "SmallSet run edges must be an (E, 2) integer array, got "
+                f"{edges.dtype} {edges.shape}"
+            )
+        set_ids, elements = edges.astype(np.int64).T
+        # Unchecked, element n of set s would pack to element 0 of s + 1.
+        for name, column, bound in (
+            ("set id", set_ids, self.set_sampler.m),
+            ("element", elements, self._stride),
+        ):
+            if column.size and (column.min() < 0 or column.max() >= bound):
+                raise ValueError(
+                    f"SmallSet run edge has a {name} outside [0, {bound})"
+                )
+        self.edges = set((set_ids * self._stride + elements).tolist())
         self.alive = bool(state["alive"])
 
     def space_words(self) -> int:
@@ -336,8 +352,7 @@ class SmallSet(StreamingAlgorithm):
         """Greedy-solve a run's stored sub-instance; universe-scaled value."""
         if not run.alive or not run.edges:
             return None
-        system = SetSystem.from_edges(run.iter_edges(), n=self.params.n)
-        result = lazy_greedy(system, self.cover_size)
+        result = array_greedy(*run._sorted_pairs(), self.cover_size)
         if result.coverage < self.min_support:
             return None
         # Scale sampled coverage to the universe, discounted by 2/3 like

@@ -8,12 +8,18 @@ from repro.coverage.diagnostics import (
     frequency_levels,
 )
 from repro.coverage.exact import exact_max_cover, optimal_coverage
-from repro.coverage.greedy import GreedyResult, greedy_max_cover, lazy_greedy
+from repro.coverage.greedy import (
+    GreedyResult,
+    array_greedy,
+    greedy_max_cover,
+    lazy_greedy,
+)
 from repro.coverage.setsystem import SetSystem
 
 __all__ = [
     "SetSystem",
     "GreedyResult",
+    "array_greedy",
     "greedy_max_cover",
     "lazy_greedy",
     "exact_max_cover",

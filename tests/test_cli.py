@@ -152,6 +152,7 @@ class TestBench:
         out = capsys.readouterr().out
         assert "tokens:" in out
         assert "throughput:" in out
+        assert "finalize_seconds:" in out
         assert "profile" not in out
 
     def test_bench_profile_breakdown(self, stream_file, capsys):

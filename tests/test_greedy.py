@@ -4,12 +4,31 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.coverage.exact import exact_max_cover, optimal_coverage
-from repro.coverage.greedy import greedy_max_cover, lazy_greedy
+from repro.coverage.greedy import (
+    GreedyResult,
+    array_greedy,
+    greedy_max_cover,
+    lazy_greedy,
+)
 from repro.coverage.setsystem import SetSystem
 from repro.streams.generators import planted_cover, random_uniform
+
+
+def _array_greedy(system, k):
+    """:func:`array_greedy` on ``system``'s edges, which come sorted."""
+    edges = np.array(system.edges(), dtype=np.int64).reshape(-1, 2)
+    return array_greedy(edges[:, 0], edges[:, 1], k)
+
+
+def _assert_solvers_agree(system, k):
+    """All three solvers give the same picks, coverage and gains."""
+    plain = greedy_max_cover(system, k)
+    assert lazy_greedy(system, k) == plain
+    assert _array_greedy(system, k) == plain
 
 
 class TestGreedy:
@@ -43,6 +62,8 @@ class TestGreedy:
             greedy_max_cover(tiny_system, -1)
         with pytest.raises(ValueError):
             lazy_greedy(tiny_system, -1)
+        with pytest.raises(ValueError):
+            _array_greedy(tiny_system, -1)
 
     def test_gains_non_increasing(self):
         workload = random_uniform(n=200, m=50, set_size=20, seed=1)
@@ -59,22 +80,42 @@ class TestLazyGreedy:
     @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
     def test_matches_plain_greedy(self, seed):
         workload = random_uniform(n=150, m=40, set_size=15, seed=seed)
-        plain = greedy_max_cover(workload.system, 7)
-        lazy = lazy_greedy(workload.system, 7)
-        assert lazy.coverage == plain.coverage
-        assert lazy.chosen == plain.chosen
+        _assert_solvers_agree(workload.system, 7)
 
     def test_matches_on_tiny(self, tiny_system):
-        for k in range(6):
-            assert (
-                lazy_greedy(tiny_system, k).coverage
-                == greedy_max_cover(tiny_system, k).coverage
-            )
+        # k = 0 through k beyond m = 5.
+        for k in range(8):
+            _assert_solvers_agree(tiny_system, k)
 
     def test_recovers_planted_solution(self):
         workload = planted_cover(n=300, m=100, k=5, coverage_frac=0.9, seed=3)
         result = lazy_greedy(workload.system, 5)
         assert result.coverage >= workload.planted_coverage * 0.95
+        assert _array_greedy(workload.system, 5) == result
+
+    def test_matches_on_tie_heavy_instances(self):
+        """Tiny universes make equal gains, and empty sets, common."""
+        rng = np.random.default_rng(2024)
+        for _ in range(400):
+            n = int(rng.integers(1, 16))
+            sets = [
+                rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)
+                for _ in range(int(rng.integers(1, 13)))
+            ]
+            k = int(rng.integers(0, 15))
+            _assert_solvers_agree(SetSystem(sets, n=n), k)
+
+    def test_matches_on_no_edges(self):
+        for system in (SetSystem([]), SetSystem([set(), set()], n=3)):
+            for k in (0, 3):
+                _assert_solvers_agree(system, k)
+        assert _array_greedy(SetSystem([]), 3) == GreedyResult((), 0, ())
+
+    def test_array_greedy_rejects_malformed_edges(self):
+        with pytest.raises(ValueError, match="equal length"):
+            array_greedy([0, 1], [0], 1)
+        with pytest.raises(ValueError, match="non-negative"):
+            array_greedy([0, 1], [-1, 0], 1)
 
 
 class TestExact:

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.base import StreamConsumedError
 from repro.core.parameters import Parameters
 from repro.core.small_set import SmallSet
 from repro.coverage.greedy import lazy_greedy
+from repro.coverage.setsystem import SetSystem
+from repro.sketch.serialize import state_difference
 from repro.streams.edge_stream import EdgeStream
 from repro.streams.generators import planted_cover
 
@@ -19,6 +22,28 @@ def _params(workload, k, alpha):
 
 def _stream(workload, seed=1):
     return EdgeStream.from_system(workload.system, order="random", seed=seed)
+
+
+def _filled(workload, alpha=3.0):
+    algo = SmallSet(_params(workload, k=6, alpha=alpha), seed=1)
+    algo.process_stream(_stream(workload))
+    return algo
+
+
+def _reference_value(algo, run):
+    """A run's value rebuilt from its stored edges with ``lazy_greedy``:
+    the support cutoff, then sampled coverage scaled to the universe and
+    discounted by 2/3, capped at ``n``."""
+    if not run.alive or not run.edges:
+        return None
+    pairs = run.state_arrays()["edges"].tolist()
+    system = SetSystem.from_edges(pairs, n=algo.params.n)
+    result = lazy_greedy(system, algo.cover_size)
+    if result.coverage < algo.min_support:
+        return None
+    sampled_rate = run.element_sampler.probability
+    scaled = 2.0 * (result.coverage / sampled_rate) / 3.0
+    return min(float(algo.params.n), scaled), result.chosen
 
 
 class TestEstimation:
@@ -67,6 +92,18 @@ class TestEstimation:
         true_cov = system.coverage(ids)
         assert true_cov >= value / 3
 
+    def test_run_values_match_lazy_greedy_reference(self, planted_workload):
+        """Every run's solve equals one rebuilt with ``lazy_greedy``."""
+        cut = []
+        for alpha in (3.0, 16.0):
+            algo = _filled(planted_workload, alpha)
+            for run in algo._runs:
+                expected = _reference_value(algo, run)
+                assert algo._run_value(run) == expected
+                cut.append(expected is None)
+        # The support cutoff both keeps and drops runs here.
+        assert any(cut) and not all(cut)
+
     def test_estimate_finalises(self, planted_workload):
         params = _params(planted_workload, k=6, alpha=3.0)
         algo = SmallSet(params, seed=1)
@@ -104,6 +141,50 @@ class TestBudget:
             algo.process_stream(_stream(planted_workload))
             spaces.append(algo.space_words())
         assert spaces[1] < spaces[0]
+
+
+class TestState:
+    def test_round_trip(self, planted_workload):
+        algo = _filled(planted_workload)
+        fresh = SmallSet(algo.params, seed=1)
+        fresh.load_state_arrays(algo.state_arrays())
+        assert [run.edges for run in fresh._runs] == [
+            run.edges for run in algo._runs
+        ]
+        assert (
+            state_difference(fresh.state_arrays(), algo.state_arrays())
+            is None
+        )
+        assert fresh.estimate() == algo.estimate()
+
+    @pytest.mark.parametrize(
+        "edges, match",
+        [
+            (np.zeros((3, 3), dtype=np.int64), r"\(E, 2\) integer array"),
+            (np.zeros(4, dtype=np.int64), r"\(E, 2\) integer array"),
+            (np.zeros((2, 2)), r"\(E, 2\) integer array"),
+            ([[150, 0]], r"set id outside \[0, 150\)"),
+            ([[-1, 0]], r"set id outside \[0, 150\)"),
+            # Element n of set 0 would alias element 0 of set 1.
+            ([[0, 300]], r"element outside \[0, 300\)"),
+            ([[0, -1]], r"element outside \[0, 300\)"),
+        ],
+        ids=[
+            "three-columns",
+            "one-dimensional",
+            "float",
+            "set-id-m",
+            "negative-set-id",
+            "element-n",
+            "negative-element",
+        ],
+    )
+    def test_rejects_corrupt_edges(self, planted_workload, edges, match):
+        algo = _filled(planted_workload)
+        state = algo.state_arrays()
+        state["runs/0/edges"] = np.asarray(edges)
+        with pytest.raises(ValueError, match=match):
+            SmallSet(algo.params, seed=1).load_state_arrays(state)
 
 
 class TestValidation:
