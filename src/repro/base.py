@@ -36,6 +36,7 @@ __all__ = [
     "StreamRunner",
     "pack_state",
     "unpack_state",
+    "sorted_unique",
 ]
 
 
@@ -78,6 +79,19 @@ def unpack_state(state: dict, name: str) -> dict:
         for key, value in state.items()
         if key.startswith(prefix)
     }
+
+
+def sorted_unique(values: np.ndarray) -> np.ndarray:
+    """``np.unique(values)`` for a 1-D array, by one sort and a mask.
+
+    ``np.unique`` first builds a hash table of the values, which costs
+    several times a sort on the mostly-distinct packed keys the ingest
+    state deduplicates.
+    """
+    values = np.sort(values)
+    if len(values) > 1:
+        values = values[np.concatenate(([True], values[1:] != values[:-1]))]
+    return values
 
 
 class StreamingAlgorithm(abc.ABC):
@@ -217,9 +231,11 @@ class StreamingAlgorithm(abc.ABC):
         For the linear sketches this equality is exact (bit-identical to
         the single pass).  For candidate-pool state the reconciliation
         is deterministic and documented per class.  Where the tracked
-        state is insertion-ordered (candidate pools, per-superset sketch
-        tables), shards must be merged left-to-right in stream order to
-        reproduce the single pass's first-arrival order.
+        state is insertion-ordered (candidate pools, the reporter's
+        per-group sketches), shards must be merged left-to-right in
+        stream order to reproduce the single pass's first-arrival order;
+        ``LargeSet``'s per-superset KMV rows are kept in superset-id
+        order and merge exactly in any order.
 
         Raises :class:`TypeError` for a different class and
         :class:`MergeIncompatibleError` for mismatched parameters or

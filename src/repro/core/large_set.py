@@ -27,7 +27,8 @@ half its coverage from ``OPT_large`` -- sets contributing at least a
    ``r2`` protects against common-element pollution, so classes larger
    than ``r2`` are handled separately: sample ``~ log m / r2`` of the
    supersets outright and measure each one's *coverage* with an ``L_0``
-   sketch.
+   sketch.  The sampled supersets' KMV synopses live in one
+   :class:`~repro.sketch.l0.KMVBank`, rows ordered by superset id.
 5. A reported superset with (sampled) total size ``v~`` certifies a
    coverage estimate ``2 v~ / (3 f)`` on the sample (Lemma 4.14 / B.3),
    and its member sets ``{S : h(S) = i*}`` are recoverable from the
@@ -60,7 +61,7 @@ from repro.sketch.hashing import (
     same_hash,
     same_sampled_set,
 )
-from repro.sketch.l0 import L0Sketch
+from repro.sketch.l0 import KMVBank
 
 __all__ = ["LargeSetOutcome", "LargeSetRun", "LargeSet"]
 
@@ -94,6 +95,13 @@ class LargeSetRun(StreamingAlgorithm):
     With ``element_sampler=None`` this is exactly ``LargeSetSimple``
     (Figure 4): every element is inspected, which is the Section 4.2
     simplification valid when ``U^cmn_w`` is empty.
+
+    Ingest state is array-backed: each ``F2Contributing`` keeps its
+    levels' CountSketch tables in one stacked bank, and the case-2b
+    ``L_0`` sketches of the sampled supersets are the rows of one
+    :class:`~repro.sketch.l0.KMVBank` (superset ``i`` hashes with seed
+    ``(l0_seed + i) & (2**63 - 1)``).  Both are linear or order-free, so
+    scalar, batched, planned and merged runs hold the same state.
 
     Parameters
     ----------
@@ -149,14 +157,14 @@ class LargeSetRun(StreamingAlgorithm):
             domain=self.num_supersets,
         )
         # Case 2b: directly sample ~log(m) * |Q| / r2 supersets, measure
-        # coverage with L_0 sketches.
+        # coverage with L_0 sketches (one KMV bank row per superset).
         keep_rate = max(1.0, self.r2 / max(1.0, math.log2(max(2, p.m))))
         self._superset_sampler = SampledSet(
             keep_rate, degree=degree, seed=rng.integers(0, 2**63)
         )
         self._l0_seed = rng.integers(0, 2**63)
         self._l0_size = l0_size
-        self._superset_l0: dict[int, L0Sketch] = {}
+        self._l0 = KMVBank(self.num_supersets, l0_size, self._l0_seed)
         # Element-membership memo (speed cache, outside the space model).
         self._element_memo: dict[int, bool] = {}
         # Fused-plan slots (see _register_plan); populated lazily.
@@ -184,17 +192,7 @@ class LargeSetRun(StreamingAlgorithm):
         self._cntr_small.process(sid)
         self._cntr_large.process(sid)
         if self._superset_sampler.contains(sid):
-            self._superset_sketch(sid).process(element)
-
-    def _superset_sketch(self, sid: int) -> L0Sketch:
-        sketch = self._superset_l0.get(sid)
-        if sketch is None:
-            sketch = L0Sketch(
-                sketch_size=self._l0_size,
-                seed=(self._l0_seed + sid) & (2**63 - 1),
-            )
-            self._superset_l0[sid] = sketch
-        return sketch
+            self._l0.insert_one(sid, element)
 
     def _process_batch(self, set_ids, elements) -> None:
         sampler = self.element_sampler
@@ -226,16 +224,32 @@ class LargeSetRun(StreamingAlgorithm):
         if not len(elements):
             return
         sids = self._partition(set_ids)
-        self._cntr_small.process_batch(sids)
-        self._cntr_large.process_batch(sids)
-        ss_mask = self._superset_sampler.contains_many(sids)
-        if ss_mask.any():
-            kept_sids = sids[ss_mask]
-            kept_elems = elements[ss_mask]
-            for sid in np.unique(kept_sids).tolist():
-                self._superset_sketch(int(sid)).process_batch(
-                    kept_elems[kept_sids == int(sid)]
-                )
+        self._ingest_sids(
+            sids, elements, self._superset_sampler.contains_many(sids)
+        )
+
+    def _ingest_sids(self, sids, elements, sampled) -> None:
+        """Feed superset ids to every consumer.
+
+        One ``bincount`` over the superset domain groups the chunk into
+        sorted present ids and their multiplicities for both
+        contributing detectors; the KMV bank hashes the ``(sid,
+        element)`` pairs whose superset is sampled (``sampled`` is a
+        per-position mask, ``None`` when every superset is).
+        """
+        profiling = PROFILER.enabled
+        t0 = PROFILER.clock() if profiling else 0.0
+        counts = np.bincount(sids, minlength=self.num_supersets)
+        present = np.flatnonzero(counts)
+        counts = counts[present]
+        if profiling:
+            PROFILER.add("group-split", PROFILER.clock() - t0)
+        self._cntr_small.ingest_grouped(present, counts, len(sids))
+        self._cntr_large.ingest_grouped(present, counts, len(sids))
+        if sampled is None:
+            self._l0.insert(sids, elements)
+        elif sampled.any():
+            self._l0.insert(sids[sampled], elements[sampled])
 
     # -- fused-plan hooks ---------------------------------------------------
 
@@ -253,14 +267,12 @@ class LargeSetRun(StreamingAlgorithm):
         self._ss_slot = plan.request_mask(sid_col, self._superset_sampler)
 
     def _process_planned(self, set_ids, elements, ctx) -> None:
-        """Planned kernel: one group-split feeds every consumer.
+        """Planned kernel: plan-served sids and sampler masks.
 
         The superset-id column is gathered from the plan's partition
-        table; a single stable argsort then yields, at once, the
-        chunk's unique sids, their multiplicities and contiguous
-        element groups -- replacing the per-counter ``np.unique`` calls
-        and the per-sid boolean masks of the unplanned path.
-        Bit-identical to ``_process_batch(set_ids, elements)``.
+        table and the superset sampler's mask from its domain table;
+        :meth:`_ingest_sids` does the rest.  Bit-identical to
+        ``_process_batch(set_ids, elements)``.
         """
         if self._partition_slot is None:
             self._process_batch(set_ids, elements)
@@ -276,51 +288,17 @@ class LargeSetRun(StreamingAlgorithm):
             sids = ctx.values(self._partition_slot)
             if not len(sids):
                 return
-        profiling = PROFILER.enabled
-        t0 = PROFILER.clock() if profiling else 0.0
-        order = np.argsort(sids, kind="stable")
-        sorted_sids = sids[order]
-        length = len(sorted_sids)
-        starts = np.concatenate(
-            (
-                np.zeros(1, dtype=np.int64),
-                np.flatnonzero(sorted_sids[1:] != sorted_sids[:-1]) + 1,
-            )
-        )
-        present = sorted_sids[starts]
-        counts = np.diff(
-            np.concatenate((starts, np.full(1, length, dtype=np.int64)))
-        )
-        if profiling:
-            PROFILER.add("group-split", PROFILER.clock() - t0)
-        self._cntr_small.ingest_grouped(present, counts, length)
-        self._cntr_large.ingest_grouped(present, counts, length)
         ss_slot = self._ss_slot
         if ss_slot.trivial:
-            sampled = np.arange(len(present), dtype=np.int64)
+            sampled = None
         else:
             table = ss_slot.mask_table()
-            if table is not None:
-                sampled = np.flatnonzero(table[present])
-            else:
-                sampled = np.flatnonzero(
-                    self._superset_sampler.contains_many(present)
-                )
-        if len(sampled):
-            # The per-superset dispatch loop runs in Python: sampled
-            # group bounds are a handful of scalars per chunk.
-            ends = np.concatenate(
-                (starts[1:], np.full(1, length, dtype=np.int64))
+            sampled = (
+                table[sids]
+                if table is not None
+                else self._superset_sampler.contains_many(sids)
             )
-            sorted_elems = elements[order]
-            domain = self.params.n
-            lo = starts.tolist()
-            hi = ends.tolist()
-            pres = present.tolist()
-            for i in sampled.tolist():
-                self._superset_sketch(int(pres[i])).process_tabulated(
-                    sorted_elems[lo[i] : hi[i]], domain
-                )
+        self._ingest_sids(sids, elements, sampled)
 
     # -- merging / state ----------------------------------------------------
 
@@ -356,44 +334,28 @@ class LargeSetRun(StreamingAlgorithm):
     def _merge(self, other: "LargeSetRun") -> None:
         self._cntr_small.merge(other._cntr_small)
         self._cntr_large.merge(other._cntr_large)
-        # Same partition + same derived per-superset seeds => sketches
-        # for the same superset id merge exactly.  Keeping ``self``'s
-        # ids first and appending ``other``'s new ids in their arrival
-        # order reproduces the single pass's dict insertion order (a
-        # superset first seen in a later shard first appears globally
-        # there), which :meth:`peek_outcome` relies on for its
-        # first-wins tie-breaking.
-        for sid, sketch in other._superset_l0.items():
-            mine = self._superset_l0.get(sid)
-            if mine is None:
-                self._superset_l0[sid] = sketch
-            else:
-                mine.merge(sketch)
+        # Same partition + same derived per-superset seeds => bank rows
+        # for the same superset id merge exactly; rows stay in id order,
+        # so the merged bank is the single pass's for any shard split.
+        self._l0.merge(other._l0)
 
     def _state_arrays(self) -> dict:
+        sids, counts, values = self._l0.state_arrays()
         state: dict = {
-            "l0_sids": np.asarray(
-                list(self._superset_l0.keys()), dtype=np.int64
-            )
+            "l0_sids": sids,
+            "l0_counts": counts,
+            "l0_values": values,
         }
         pack_state(state, "cntr_small", self._cntr_small.state_arrays())
         pack_state(state, "cntr_large", self._cntr_large.state_arrays())
-        for sid, sketch in self._superset_l0.items():
-            pack_state(state, f"l0/{sid}", sketch.state_arrays())
         return state
 
     def _load_state_arrays(self, state: dict) -> None:
         self._cntr_small.load_state_arrays(unpack_state(state, "cntr_small"))
         self._cntr_large.load_state_arrays(unpack_state(state, "cntr_large"))
-        self._superset_l0 = {}
-        for sid in state["l0_sids"]:
-            sid = int(sid)
-            sketch = L0Sketch(
-                sketch_size=self._l0_size,
-                seed=(self._l0_seed + sid) & (2**63 - 1),
-            )
-            sketch.load_state_arrays(unpack_state(state, f"l0/{sid}"))
-            self._superset_l0[sid] = sketch
+        self._l0.load_state_arrays(
+            state["l0_sids"], state["l0_counts"], state["l0_values"]
+        )
 
     # -- post-pass ----------------------------------------------------------
 
@@ -445,12 +407,14 @@ class LargeSetRun(StreamingAlgorithm):
                         "contributing-large",
                     )
                 )
-        for sid, sketch in self._superset_l0.items():
-            val = sketch.peek_estimate()
-            if val >= 0.5 * thr2:
-                consider(
-                    LargeSetOutcome(2.0 * val / 3.0, sid, "sampled-l0")
-                )
+        # Rows ascend by superset id, so among equal values the
+        # smallest id wins.
+        sids, values = self._l0.estimates()
+        passing = values >= 0.5 * thr2
+        for sid, val in zip(
+            sids[passing].tolist(), values[passing].tolist()
+        ):
+            consider(LargeSetOutcome(2.0 * val / 3.0, sid, "sampled-l0"))
         return best
 
     def superset_members(self, superset_id: int) -> list[int]:
@@ -466,7 +430,7 @@ class LargeSetRun(StreamingAlgorithm):
         total += self._cntr_small.space_words()
         total += self._cntr_large.space_words()
         total += self._superset_sampler.space_words()
-        total += sum(s.space_words() for s in self._superset_l0.values())
+        total += self._l0.space_words()
         if self.element_sampler is not None:
             total += self.element_sampler.space_words()
         return total

@@ -177,12 +177,12 @@ class CountSketch(StreamingAlgorithm):
         self._bucket_tables = None
         self._sign_tables = None
 
-    def _planned_rows(self, items):
-        """``(buckets, signs)`` for ``items`` via plan domain tables.
+    def _domain_tables(self):
+        """``(buckets, signs)``: ``(depth, domain)`` tables of every row's
+        bucket and ``+-1`` sign over the plan column's whole domain.
 
-        Returns ``(None, None)`` when the plan kept this column in
-        mega-bank mode (domain too large to tabulate); callers then use
-        the per-chunk banks exactly like the unplanned path.
+        Returns ``(None, None)`` without a plan, or when the plan kept
+        this column in mega-bank mode (domain too large to tabulate).
         """
         if self._bucket_slots is None:
             return None, None
@@ -195,16 +195,18 @@ class CountSketch(StreamingAlgorithm):
                 return None, None
             self._bucket_tables = np.stack(bucket_rows)
             self._sign_tables = np.where(np.stack(sign_rows) == 1, 1, -1)
-        return self._bucket_tables[:, items], self._sign_tables[:, items]
+        return self._bucket_tables, self._sign_tables
 
     def _rows(self, items):
         """``(buckets, signs)`` for ``items``: gathered from the plan's
         domain tables when they exist, hashed by the row banks otherwise."""
-        buckets, signs = self._planned_rows(items)
+        buckets, signs = self._domain_tables()
         if buckets is None:
-            buckets = self._bucket_bank.eval_many(items)
-            signs = np.where(self._sign_bank.eval_many(items) == 1, 1, -1)
-        return buckets, signs
+            return (
+                self._bucket_bank.eval_many(items),
+                np.where(self._sign_bank.eval_many(items) == 1, 1, -1),
+            )
+        return buckets[:, items], signs[:, items]
 
     def update_grouped(self, items: np.ndarray, sums: np.ndarray) -> None:
         """Update from pre-deduplicated ``(items, sums)`` pairs.
@@ -266,7 +268,15 @@ class CountSketch(StreamingAlgorithm):
         return {"table": self._table}
 
     def _load_state_arrays(self, state: dict) -> None:
-        self._table = np.asarray(state["table"], dtype=np.int64).copy()
+        # In place: ``F2Contributing`` holds the table as a view of its
+        # stacked level bank, and the view must survive a load.
+        table = np.asarray(state["table"])
+        if table.shape != self._table.shape or table.dtype.kind not in "iu":
+            raise ValueError(
+                f"CountSketch table must be a {self._table.shape} integer "
+                f"array, got {table.dtype} {table.shape}"
+            )
+        self._table[...] = table
 
     def space_words(self) -> int:
         hashes = sum(h.space_words() for h in self._bucket_hashes)

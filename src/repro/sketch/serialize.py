@@ -44,11 +44,12 @@ __all__ = [
 ]
 
 #: Last path components of state keys that list lazily created
-#: sub-sketch ids (``LargeSet`` supersets, ``ReportingLargeCommon``
-#: groups) in first-seen order.  That order depends on batching
-#: granularity -- a scalar pass sees arrival order, a batch sees sorted
-#: unique ids -- while each sub-sketch's own arrays do not.
-ORDER_FREE_KEYS = ("l0_sids", "gids")
+#: sub-sketch ids in first-seen order: ``ReportingLargeCommon``'s
+#: groups.  That order depends on batching granularity -- a scalar pass
+#: sees arrival order, a batch sees sorted unique ids -- while each
+#: sub-sketch's own arrays do not.  (``LargeSet``'s KMV bank lists its
+#: superset ids sorted, so its state is exact under any chunking.)
+ORDER_FREE_KEYS = ("gids",)
 
 
 def _l0_state(sketch: L0Sketch) -> dict:
@@ -68,12 +69,12 @@ def _l0_restore(data) -> L0Sketch:
         degree=int(data["degree"]),
         seed=int(data["seed"]),
     )
-    heap = [int(v) for v in data["heap"]]
-    sketch._heap = list(heap)
-    import heapq
-
-    heapq.heapify(sketch._heap)
-    sketch._members = {-v for v in heap}
+    # The file keeps the negated max-heap sorted ascending; the state
+    # protocol (and its validation) takes the values ascending.
+    heap = np.asarray(data["heap"])
+    if heap.dtype.kind in "iu":
+        heap = -heap[::-1]
+    sketch._load_state_arrays({"heap": heap})
     sketch._tokens_seen = int(data["tokens"])
     return sketch
 
@@ -117,7 +118,7 @@ def _cs_restore(data) -> CountSketch:
         depth=int(data["depth"]),
         seed=int(data["seed"]),
     )
-    sketch._table = np.asarray(data["table"], dtype=np.int64).copy()
+    sketch._load_state_arrays({"table": data["table"]})
     sketch._tokens_seen = int(data["tokens"])
     return sketch
 

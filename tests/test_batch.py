@@ -179,7 +179,7 @@ class TestCoreEquivalence:
         batched = SmallSet(params, seed=13)
         batched.process_batch(set_ids, elements)
         for a, b in zip(scalar._runs, batched._runs):
-            assert a.edges == b.edges
+            assert np.array_equal(a.edges, b.edges)
             assert a.alive == b.alive
         assert scalar.estimate() == batched.estimate()
 

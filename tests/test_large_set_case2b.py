@@ -32,10 +32,9 @@ class TestOversizedClassPath:
         params = Parameters.practical(system.m, system.n, 8, 2.0)
         run = LargeSetRun(params, element_sampler=None, seed=2)
         run.process_batch(*stream.as_arrays())
-        assert run._superset_l0, "case-2b sampling must meter supersets"
-        assert all(
-            sk.peek_estimate() >= 0 for sk in run._superset_l0.values()
-        )
+        sids, estimates = run._l0.estimates()
+        assert len(sids), "case-2b sampling must meter supersets"
+        assert (estimates >= 0).all()
 
     def test_outcome_fires_on_uniform_heavy(self, uniform_heavy):
         system, stream = uniform_heavy

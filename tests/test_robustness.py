@@ -43,7 +43,7 @@ class TestDuplicateEdges:
         noisy.process_batch(dup_sets, dup_elems)
         for a, b in zip(clean._runs, noisy._runs):
             assert a.alive == b.alive
-            assert a.edges == b.edges
+            assert np.array_equal(a.edges, b.edges)
         assert noisy.estimate() == clean.estimate()
 
     def test_oracle_estimate_stable_under_replays(self, planted_workload):

@@ -105,6 +105,111 @@ class TestErrors:
             load_sketch(path)
 
 
+class TestMalformedStateRejected:
+    """Every state load raises ``ValueError`` on malformed arrays instead
+    of accepting state that later breaks a query or an estimate."""
+
+    @pytest.mark.parametrize(
+        "table",
+        [
+            np.zeros((3, 70), dtype=np.int64),
+            np.zeros((4, 64, 1), dtype=np.int64),
+            np.zeros((4, 64), dtype=np.float64),
+        ],
+        ids=["shape", "ndim", "float"],
+    )
+    def test_countsketch_table(self, table):
+        sketch = CountSketch(width=64, depth=4, seed=1)
+        with pytest.raises(ValueError, match="CountSketch table"):
+            sketch.load_state_arrays({"table": table, "tokens": 0})
+
+    def test_countsketch_loads_in_place(self):
+        source = CountSketch(width=64, depth=4, seed=1)
+        source.update_batch(np.arange(100))
+        target = CountSketch(width=64, depth=4, seed=1)
+        table = target._table
+        target.load_state_arrays(source.state_arrays())
+        assert target._table is table
+        assert np.array_equal(table, source._table)
+
+    @pytest.mark.parametrize(
+        "heap, match",
+        [
+            (np.arange(20), "more than sketch_size"),
+            (np.asarray([-1, 5]), "outside"),
+            (np.asarray([5, 2**31 - 1]), "outside"),
+            (np.asarray([5, 3]), "strictly increase"),
+            (np.asarray([3, 3]), "strictly increase"),
+            (np.asarray([1.0, 2.0]), "integer"),
+        ],
+        ids=["overfull", "negative", "field", "unsorted", "repeated", "float"],
+    )
+    def test_l0_heap(self, heap, match):
+        sketch = L0Sketch(sketch_size=8, seed=1)
+        with pytest.raises(ValueError, match=match):
+            sketch.load_state_arrays({"heap": heap, "tokens": 0})
+
+    @staticmethod
+    def _run_state(planted_workload):
+        system = planted_workload.system
+        params = Parameters.practical(m=system.m, n=system.n, k=6, alpha=3.0)
+        run = LargeSet(params, w=3, seed=21)._runs[0]
+        return run, run.state_arrays()
+
+    @pytest.mark.parametrize(
+        "sids, counts, values, match",
+        [
+            ([-1], [1], [5], "row id outside"),
+            ([10**6], [1], [5], "row id outside"),
+            ([4, 2], [1, 1], [5, 5], "row ids must strictly increase"),
+            ([2, 2], [1, 1], [5, 6], "row ids must strictly increase"),
+            ([2], [33], list(range(33)), "count outside"),
+            ([2], [1], [2**31 - 1], "value outside"),
+            ([2], [1], [-3], "value outside"),
+            ([2], [2], [7, 7], "values must strictly increase"),
+            ([2], [2], [5], "shapes disagree"),
+        ],
+        ids=[
+            "negative-sid",
+            "sid-past-domain",
+            "unsorted-sids",
+            "repeated-sids",
+            "overfull-row",
+            "value-past-field",
+            "negative-value",
+            "repeated-value",
+            "short-values",
+        ],
+    )
+    def test_kmv_bank(self, planted_workload, sids, counts, values, match):
+        run, state = self._run_state(planted_workload)
+        state["l0_sids"] = np.asarray(sids, dtype=np.int64)
+        state["l0_counts"] = np.asarray(counts, dtype=np.int64)
+        state["l0_values"] = np.asarray(values, dtype=np.int64)
+        with pytest.raises(ValueError, match=match):
+            run.load_state_arrays(state)
+
+    def test_countsketch_file(self, tmp_path):
+        path = tmp_path / "cs.npz"
+        save_sketch(CountSketch(width=64, depth=4, seed=1), path)
+        with np.load(path) as data:
+            fields = dict(data)
+        fields["table"] = np.zeros((3, 70), dtype=np.int64)
+        np.savez(path, **fields)
+        with pytest.raises(ValueError, match="CountSketch table"):
+            load_sketch(path)
+
+    def test_l0_file(self, tmp_path):
+        path = tmp_path / "l0.npz"
+        save_sketch(L0Sketch(sketch_size=8, seed=1), path)
+        with np.load(path) as data:
+            fields = dict(data)
+        fields["heap"] = -np.arange(20, 0, -1)
+        np.savez(path, **fields)
+        with pytest.raises(ValueError, match="more than sketch_size"):
+            load_sketch(path)
+
+
 def _composite_cases(planted_workload):
     """``(name, factory)`` for the composite state-protocol round trips.
 

@@ -34,7 +34,7 @@ def _reference_value(algo, run):
     """A run's value rebuilt from its stored edges with ``lazy_greedy``:
     the support cutoff, then sampled coverage scaled to the universe and
     discounted by 2/3, capped at ``n``."""
-    if not run.alive or not run.edges:
+    if not run.alive or not len(run.edges):
         return None
     pairs = run.state_arrays()["edges"].tolist()
     system = SetSystem.from_edges(pairs, n=algo.params.n)
@@ -122,7 +122,7 @@ class TestBudget:
         for run in algo._runs:
             run.budget = 2
         algo.process_stream(_stream(workload))
-        assert all(not run.alive or not run.edges for run in algo._runs)
+        assert all(not run.alive or not len(run.edges) for run in algo._runs)
         assert algo.estimate() is None
 
     def test_space_counts_stored_edges(self, planted_workload):
@@ -148,9 +148,8 @@ class TestState:
         algo = _filled(planted_workload)
         fresh = SmallSet(algo.params, seed=1)
         fresh.load_state_arrays(algo.state_arrays())
-        assert [run.edges for run in fresh._runs] == [
-            run.edges for run in algo._runs
-        ]
+        for loaded, original in zip(fresh._runs, algo._runs):
+            assert np.array_equal(loaded.edges, original.edges)
         assert (
             state_difference(fresh.state_arrays(), algo.state_arrays())
             is None
