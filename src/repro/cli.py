@@ -447,10 +447,18 @@ def _cmd_bench(args) -> int:
         alpha=args.alpha,
         seed=args.seed,
     )
+    construct_seconds = None
     if args.profile:
         PROFILER.start()
     try:
-        algo, report = _run_maybe_sharded(args, factory, stream)
+        if args.workers > 1:
+            # The workers construct their own estimators.
+            algo, report = _run_maybe_sharded(args, factory, stream)
+        else:
+            start = time.perf_counter()
+            algo = factory()
+            construct_seconds = time.perf_counter() - start
+            report = _runner(args).run(algo, stream)
     finally:
         if args.profile:
             PROFILER.stop()
@@ -459,6 +467,8 @@ def _cmd_bench(args) -> int:
     finalize_seconds = time.perf_counter() - start
     print(f"tokens: {report.tokens}")
     print(f"seconds: {report.seconds:.3f}")
+    if construct_seconds is not None:
+        print(f"construct_seconds: {construct_seconds:.3f}")
     print(f"finalize_seconds: {finalize_seconds:.3f}")
     print(f"estimate: {estimate:.1f}")
     print(f"space_words: {algo.space_words()}")

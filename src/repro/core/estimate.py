@@ -42,7 +42,7 @@ from repro.core.oracle import Oracle
 from repro.core.parameters import Parameters
 from repro.core.universe_reduction import UniverseReducer
 from repro.engine.plan import EvalPlan
-from repro.sketch.hashing import same_hash
+from repro.sketch.hashing import coefficient_batch, same_hash
 
 __all__ = ["EstimateMaxCover"]
 
@@ -139,14 +139,16 @@ class EstimateMaxCover(StreamingAlgorithm):
                 )
         self.z_guesses = list(z_guesses)
         rng = np.random.default_rng(seed)
-        for z in self.z_guesses:
-            for _ in range(self.repetitions):
-                reducer = UniverseReducer(z, seed=rng.integers(0, 2**63))
-                oracle = Oracle(
-                    self.params.with_universe(z),
-                    seed=rng.integers(0, 2**63),
-                )
-                self._branches.append((z, reducer, oracle))
+        # Every branch's hash coefficients come from one kernel call.
+        with coefficient_batch():
+            for z in self.z_guesses:
+                for _ in range(self.repetitions):
+                    reducer = UniverseReducer(z, seed=rng.integers(0, 2**63))
+                    oracle = Oracle(
+                        self.params.with_universe(z),
+                        seed=rng.integers(0, 2**63),
+                    )
+                    self._branches.append((z, reducer, oracle))
         # Fused evaluation plan; built lazily at the first vectorised
         # chunk so the scalar path and worker construction stay cheap.
         self._plan = None

@@ -40,6 +40,9 @@ import numpy as np
 
 __all__ = ["LargeCommon"]
 
+#: Synopsis size of each layer's stock distinct-elements sketch.
+_L0_SIZE = 64
+
 
 class LargeCommon(StreamingAlgorithm):
     """Multi-layered set sampling oracle (Figure 3 / Theorem 4.4).
@@ -54,12 +57,10 @@ class LargeCommon(StreamingAlgorithm):
     sample_scale:
         Multiplier on the expected sample size ``beta_g * k`` (the
         paper's ``c log m``; the practical default keeps it at 1).
-    l0_size:
-        Synopsis size of each layer's distinct-elements sketch (ignored
-        when ``l0_factory`` is given).
     l0_factory:
         Optional callable ``seed -> sketch`` building the per-layer
-        distinct-elements estimator.  Any object with ``process``,
+        distinct-elements estimator, in place of the stock
+        ``L0Sketch(sketch_size=64)``.  Any object with ``process``,
         ``space_words`` and a live estimate (``peek_estimate`` or
         ``estimate``) works -- e.g.
         ``lambda seed: HyperLogLog(precision=8, seed=seed)`` trades a
@@ -72,7 +73,6 @@ class LargeCommon(StreamingAlgorithm):
         params: Parameters,
         seed=0,
         sample_scale: float = 1.0,
-        l0_size: int = 64,
         l0_factory=None,
     ):
         super().__init__()
@@ -83,7 +83,7 @@ class LargeCommon(StreamingAlgorithm):
         self.betas: list[float] = [float(2**i) for i in range(num_layers + 1)]
         self.betas = [b for b in self.betas if b <= 2 * alpha]
         if l0_factory is None:
-            l0_factory = lambda s: L0Sketch(sketch_size=l0_size, seed=s)  # noqa: E731
+            l0_factory = lambda s: L0Sketch(sketch_size=_L0_SIZE, seed=s)  # noqa: E731
         self._samplers: list[SetSampler] = []
         self._sketches = []
         for beta in self.betas:

@@ -65,6 +65,9 @@ from repro.sketch.l0 import KMVBank
 
 __all__ = ["LargeSetOutcome", "LargeSetRun", "LargeSet"]
 
+#: Values each sampled superset's KMV synopsis keeps (case 2b).
+_L0_SIZE = 32
+
 
 @dataclass(frozen=True)
 class LargeSetOutcome:
@@ -122,7 +125,6 @@ class LargeSetRun(StreamingAlgorithm):
         w: int | None = None,
         element_sampler: ElementSampler | None = None,
         seed=0,
-        l0_size: int = 32,
     ):
         super().__init__()
         self.params = params
@@ -163,8 +165,7 @@ class LargeSetRun(StreamingAlgorithm):
             keep_rate, degree=degree, seed=rng.integers(0, 2**63)
         )
         self._l0_seed = rng.integers(0, 2**63)
-        self._l0_size = l0_size
-        self._l0 = KMVBank(self.num_supersets, l0_size, self._l0_seed)
+        self._l0 = KMVBank(self.num_supersets, _L0_SIZE, self._l0_seed)
         # Element-membership memo (speed cache, outside the space model).
         self._element_memo: dict[int, bool] = {}
         # Fused-plan slots (see _register_plan); populated lazily.
@@ -319,7 +320,6 @@ class LargeSetRun(StreamingAlgorithm):
             or other.w != self.w
             or other.num_supersets != self.num_supersets
             or other._l0_seed != self._l0_seed
-            or other._l0_size != self._l0_size
             or not same_hash(self._partition, other._partition)
             or not same_sampled_set(
                 self._superset_sampler, other._superset_sampler

@@ -42,6 +42,7 @@ from repro.core.large_set import LargeSet
 from repro.core.parameters import Parameters
 from repro.core.small_set import SmallSet
 from repro.engine.plan import EvalPlan
+from repro.sketch.hashing import coefficient_batch
 
 __all__ = ["OracleEstimate", "Oracle"]
 
@@ -109,21 +110,24 @@ class Oracle(StreamingAlgorithm):
         # Draw one seed per subroutine slot unconditionally, so ablating
         # one subroutine leaves the others' randomness untouched.
         seeds = {name: rng.integers(0, 2**63) for name in self.SUBROUTINES}
-        self._large_common = (
-            LargeCommon(p, seed=seeds["large_common"])
-            if "large_common" in enable
-            else None
-        )
-        self._large_set = (
-            LargeSet(p, w=w, seed=seeds["large_set"])
-            if "large_set" in enable
-            else None
-        )
-        self._small_set = (
-            SmallSet(p, seed=seeds["small_set"])
-            if "small_set" in enable
-            else None
-        )
+        # A standalone oracle derives its coefficients in one kernel
+        # call; inside EstimateMaxCover this joins the estimator's batch.
+        with coefficient_batch():
+            self._large_common = (
+                LargeCommon(p, seed=seeds["large_common"])
+                if "large_common" in enable
+                else None
+            )
+            self._large_set = (
+                LargeSet(p, w=w, seed=seeds["large_set"])
+                if "large_set" in enable
+                else None
+            )
+            self._small_set = (
+                SmallSet(p, seed=seeds["small_set"])
+                if "small_set" in enable
+                else None
+            )
         # Standalone fused plan, built lazily when this oracle is driven
         # directly (not through EstimateMaxCover's shared plan).
         self._plan = None

@@ -47,6 +47,7 @@ from repro.core.small_set import SmallSet
 from repro.engine.plan import EvalPlan
 from repro.sketch.hashing import (
     KWiseHash,
+    coefficient_batch,
     default_degree,
     same_hash,
     same_sampled_set,
@@ -55,6 +56,9 @@ from repro.sketch.l0 import L0Sketch
 from repro.sketch.set_sampling import SetSampler
 
 __all__ = ["ReportedCover", "ReportingLargeCommon", "MaxCoverReporter"]
+
+#: Synopsis size of each group's coverage meter.
+_GROUP_L0_SIZE = 32
 
 
 @dataclass(frozen=True)
@@ -91,7 +95,6 @@ class ReportingLargeCommon(StreamingAlgorithm):
         params: Parameters,
         seed=0,
         sample_scale: float = 1.0,
-        l0_size: int = 32,
     ):
         super().__init__()
         self.params = params
@@ -105,7 +108,6 @@ class ReportingLargeCommon(StreamingAlgorithm):
         self._group_hashes: list[KWiseHash] = []
         self._group_l0: list[dict[int, L0Sketch]] = []
         self._l0_seeds: list[int] = []
-        self._l0_size = l0_size
         self._member_cache: list[dict[int, int]] = []
         for beta in self.betas:
             expected = min(float(p.m), sample_scale * beta * p.k)
@@ -136,7 +138,7 @@ class ReportingLargeCommon(StreamingAlgorithm):
             sketch = self._group_l0[layer].get(group)
             if sketch is None:
                 sketch = L0Sketch(
-                    sketch_size=self._l0_size,
+                    sketch_size=_GROUP_L0_SIZE,
                     seed=(self._l0_seeds[layer] + group) & (2**63 - 1),
                 )
                 self._group_l0[layer][group] = sketch
@@ -155,7 +157,7 @@ class ReportingLargeCommon(StreamingAlgorithm):
                 sketch = layer_l0.get(group)
                 if sketch is None:
                     sketch = L0Sketch(
-                        sketch_size=self._l0_size,
+                        sketch_size=_GROUP_L0_SIZE,
                         seed=(self._l0_seeds[layer] + group) & (2**63 - 1),
                     )
                     layer_l0[group] = sketch
@@ -192,7 +194,7 @@ class ReportingLargeCommon(StreamingAlgorithm):
                 sketch = layer_l0.get(group)
                 if sketch is None:
                     sketch = L0Sketch(
-                        sketch_size=self._l0_size,
+                        sketch_size=_GROUP_L0_SIZE,
                         seed=(self._l0_seeds[layer] + group) & (2**63 - 1),
                     )
                     layer_l0[group] = sketch
@@ -203,7 +205,6 @@ class ReportingLargeCommon(StreamingAlgorithm):
             other.params != self.params
             or other.betas != self.betas
             or other._l0_seeds != self._l0_seeds
-            or other._l0_size != self._l0_size
             or any(
                 not same_sampled_set(mine._membership, theirs._membership)
                 for mine, theirs in zip(self._samplers, other._samplers)
@@ -255,7 +256,7 @@ class ReportingLargeCommon(StreamingAlgorithm):
             for gid in state[f"layers/{layer}/gids"]:
                 gid = int(gid)
                 sketch = L0Sketch(
-                    sketch_size=self._l0_size,
+                    sketch_size=_GROUP_L0_SIZE,
                     seed=(self._l0_seeds[layer] + gid) & (2**63 - 1),
                 )
                 sketch.load_state_arrays(
@@ -332,15 +333,17 @@ class MaxCoverReporter(StreamingAlgorithm):
         p = self.params
         w = p.k if p.large_set_dominates else int(math.ceil(p.alpha))
         w = max(1, min(w, p.k))
-        self._large_common = ReportingLargeCommon(
-            p, seed=rng.integers(0, 2**63)
-        )
-        self._large_set = LargeSet(p, w=w, seed=rng.integers(0, 2**63))
-        self._small_set = (
-            None
-            if p.large_set_dominates
-            else SmallSet(p, seed=rng.integers(0, 2**63))
-        )
+        # Every subroutine's hash coefficients come from one kernel call.
+        with coefficient_batch():
+            self._large_common = ReportingLargeCommon(
+                p, seed=rng.integers(0, 2**63)
+            )
+            self._large_set = LargeSet(p, w=w, seed=rng.integers(0, 2**63))
+            self._small_set = (
+                None
+                if p.large_set_dominates
+                else SmallSet(p, seed=rng.integers(0, 2**63))
+            )
         # Fused evaluation plan over all three subroutines, built lazily
         # at the first vectorised chunk.
         self._plan = None

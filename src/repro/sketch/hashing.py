@@ -12,12 +12,28 @@ comfortably in 64-bit integers, which lets us evaluate the polynomial over
 whole numpy arrays with Horner's rule -- the hot path for every sketch in
 this package.
 
+A hash with seed ``s`` draws its coefficients as
+``np.random.default_rng(s).integers(0, p, size=d)``, with the leading
+coefficient forced non-zero.  One generator per hash costs about 24 us,
+and an estimator holds thousands of hashes, so construction derives
+them in bulk instead: :func:`kwise_coefficients` replays numpy's
+derivation for a whole array of integer seeds at once and returns the
+same coefficients bit for bit.  The estimator roots construct inside
+:func:`coefficient_batch`, where every :class:`KWiseHash` with an integer
+seed in ``[0, 2^64)`` (and every :class:`~repro.sketch.l0.KMVBank` row)
+queues its seed, and one kernel call fills them all when the outermost
+batch closes.  Reading a queued hash early fills the batch at once, so
+no read sees anything but the drawn coefficients.  Other seeds (a
+``Generator``, ``None``, a ``SeedSequence``, a negative value) and
+batches too small for the kernel to pay off draw through numpy, which
+stays the reference the tests compare against.
+
 The module exposes:
 
 * :class:`KWiseHash` -- the raw family, mapping ``[p] -> [range_size]``.
 * :class:`KWiseHashBank` -- many same-degree functions stacked into a
-  ``(branches, degree)`` coefficient matrix and evaluated on a whole
-  chunk with one batched Horner pass (the multi-branch hot path).
+  ``(branches, degree)`` coefficient matrix on first use and evaluated on
+  a whole chunk with one batched Horner pass (the multi-branch hot path).
 * :class:`SignHash` -- four-wise independent ``{-1, +1}`` hash used by
   CountSketch / AMS.
 * :class:`SampledSet` -- rate-``1/r`` membership test implemented as
@@ -25,11 +41,15 @@ The module exposes:
   and element sampling with ``Theta(log(mn))`` random bits (Appendix A.1).
 * :class:`SampledSetBank` -- stacked membership tests for many sampled
   sets at once, built on :class:`KWiseHashBank`.
+* :func:`kwise_coefficients` and :func:`coefficient_batch` -- the bulk
+  coefficient derivation above.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import threading
 
 import numpy as np
 
@@ -40,7 +60,9 @@ __all__ = [
     "SignHash",
     "SampledSet",
     "SampledSetBank",
+    "coefficient_batch",
     "default_degree",
+    "kwise_coefficients",
     "same_hash",
     "same_sampled_set",
 ]
@@ -84,7 +106,320 @@ def same_sampled_set(a: "SampledSet", b: "SampledSet") -> bool:
     return a.buckets == b.buckets and same_hash(a._hash, b._hash)
 
 
-class KWiseHash:
+# -- bulk coefficient derivation --------------------------------------------
+
+#: Batches of fewer seeds draw per seed through numpy.  Measured on a
+#: 2-CPU host: numpy draws a seed in ~27 us, and the kernel costs a fixed
+#: 0.4 ms at degree 4 up to 1.0 ms at degree 22 for batches this small,
+#: so it pays off from about 16 seeds at degree 4 and 37 at degree 22.
+_KERNEL_MIN_SEEDS = 32
+
+_MASK32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
+_SHIFT16 = np.uint32(16)
+
+# numpy's SeedSequence (numpy/random/bit_generator.pyx): a four-word pool,
+# hash and mix constants.
+_POOL_SIZE = 4
+_MIX_L = np.uint32(0xCA01F9DD)
+_MIX_R = np.uint32(0x4973F715)
+
+# PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h), split
+# into the 64-bit halves and 32-bit quarters the limb arithmetic uses.
+_PCG_MULT = (2549297995355413924 << 64) | 4865540595714422341
+_PCG_MULT_HI = np.uint64(_PCG_MULT >> 64)
+_PCG_MULT_LO = np.uint64(_PCG_MULT & (2**64 - 1))
+_PCG_MULT_LO0 = np.uint64(_PCG_MULT & 0xFFFFFFFF)
+_PCG_MULT_LO1 = np.uint64((_PCG_MULT >> 32) & 0xFFFFFFFF)
+
+
+def _hash_rounds(init: int, mult: int, count: int) -> list:
+    """``(xor, multiplier)`` of SeedSequence's first ``count`` hash rounds.
+
+    A round is ``v ^= c; c *= mult; v *= c; v ^= v >> 16`` with a running
+    constant ``c`` that never depends on the data, so the whole sequence
+    is known up front.
+    """
+    rounds = []
+    for _ in range(count):
+        xor, init = init, (init * mult) & 0xFFFFFFFF
+        rounds.append((np.uint32(xor), np.uint32(init)))
+    return rounds
+
+
+#: Pool mixing: four rounds to fill the pool, one per ordered pair of
+#: distinct pool words to mix it.
+_MIX_ROUNDS = _hash_rounds(0x43B0D7E5, 0x931E8875, _POOL_SIZE * _POOL_SIZE)
+#: ``generate_state(4, np.uint64)``: eight 32-bit output words.
+_STATE_ROUNDS = _hash_rounds(0x8B51F9DD, 0x58F38DED, 2 * _POOL_SIZE)
+
+
+def _hash_round(words, constants):
+    xor, mult = constants
+    words = (words ^ xor) * mult
+    return words ^ (words >> _SHIFT16)
+
+
+def _seed_sequence_state(seeds):
+    """``SeedSequence(seed).generate_state(4, np.uint64)`` for every seed,
+    as four uint64 arrays.
+
+    A seed's entropy is its little-endian 32-bit words.  A seed below
+    ``2^32`` has one word, and the pool pads it with a hashed zero, which
+    is what a zero high word hashes to, so every seed mixes as two words.
+    """
+    rounds = iter(_MIX_ROUNDS)
+    zero = np.zeros(len(seeds), dtype=np.uint32)
+    pool = [
+        _hash_round(word, next(rounds))
+        for word in (
+            (seeds & _MASK32).astype(np.uint32),
+            (seeds >> _SHIFT32).astype(np.uint32),
+            zero,
+            zero,
+        )
+    ]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                mixed = _MIX_L * pool[dst] - _MIX_R * _hash_round(
+                    pool[src], next(rounds)
+                )
+                pool[dst] = mixed ^ (mixed >> _SHIFT16)
+    words = [
+        _hash_round(pool[i % _POOL_SIZE], constants).astype(np.uint64)
+        for i, constants in enumerate(_STATE_ROUNDS)
+    ]
+    return [words[2 * j] | (words[2 * j + 1] << _SHIFT32) for j in range(4)]
+
+
+def _pcg64_step(hi, lo, inc_hi, inc_lo):
+    """``state * MULT + inc`` mod ``2^128`` on ``(hi, lo)`` uint64 limbs."""
+    # The high word of lo * MULT_LO, from 32-bit partial products.
+    lo0 = lo & _MASK32
+    lo1 = lo >> _SHIFT32
+    p00 = lo0 * _PCG_MULT_LO0
+    p01 = lo0 * _PCG_MULT_LO1
+    p10 = lo1 * _PCG_MULT_LO0
+    mid = (p00 >> _SHIFT32) + (p01 & _MASK32) + (p10 & _MASK32)
+    carry = lo1 * _PCG_MULT_LO1 + (p01 >> _SHIFT32) + (p10 >> _SHIFT32)
+    carry += mid >> _SHIFT32
+    new_lo = lo * _PCG_MULT_LO + inc_lo
+    new_hi = carry + lo * _PCG_MULT_HI + hi * _PCG_MULT_LO + inc_hi
+    new_hi += new_lo < inc_lo
+    return new_hi, new_lo
+
+
+def _pcg64_seeded(seeds):
+    """``(state_hi, state_lo, inc_hi, inc_lo)`` of ``PCG64(seed)``."""
+    seed_hi, seed_lo, inc_hi, inc_lo = _seed_sequence_state(seeds)
+    inc_hi = (inc_hi << np.uint64(1)) | (inc_lo >> np.uint64(63))
+    inc_lo = (inc_lo << np.uint64(1)) | np.uint64(1)
+    # pcg_setseq_128_srandom_r: from state 0 one step leaves ``inc``;
+    # add the seed, then step once more.
+    lo = inc_lo + seed_lo
+    hi = inc_hi + seed_hi + (lo < inc_lo)
+    return (*_pcg64_step(hi, lo, inc_hi, inc_lo), inc_hi, inc_lo)
+
+
+def _bounded_draws(seeds, counts, range_size: int):
+    """``default_rng(seed).integers(0, range_size, size=count)`` per seed.
+
+    Returns an ``(len(seeds), max(counts))`` int64 matrix whose row ``i``
+    begins with the ``counts[i]`` values seed ``i`` draws; the rest is 0.
+    Each PCG64 step's 64-bit XSL-RR output gives two 32-bit draws, low
+    half first.  Lemire's method maps a draw ``x`` to
+    ``x * range_size >> 32`` and rejects it when the low 32 bits of that
+    product fall below ``2^32 mod range_size``; a lane then draws again.
+    Lanes leave the loop once they hold their count.
+    """
+    if not 1 <= range_size <= 1 << 32:
+        raise ValueError(f"range_size must be in [1, 2^32], got {range_size}")
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    counts = np.broadcast_to(np.asarray(counts, dtype=np.int64), seeds.shape)
+    out = np.zeros((len(seeds), counts.max(initial=0)), dtype=np.int64)
+    scale = np.uint64(range_size)
+    threshold = np.uint64((1 << 32) % range_size)
+    hi, lo, inc_hi, inc_lo = _pcg64_seeded(seeds)
+    lanes = np.arange(len(seeds))
+    need = counts
+    filled = np.zeros(len(seeds), dtype=np.int64)
+    live = need > 0
+    while True:
+        if not live.all():
+            lanes, need, filled, hi, lo, inc_hi, inc_lo = (
+                a[live] for a in (lanes, need, filled, hi, lo, inc_hi, inc_lo)
+            )
+        if not len(lanes):
+            return out
+        hi, lo = _pcg64_step(hi, lo, inc_hi, inc_lo)
+        # XSL-RR: the state's two words xored, rotated right by its top
+        # six bits.
+        mixed = hi ^ lo
+        rot = hi >> np.uint64(58)
+        left = (np.uint64(64) - rot) & np.uint64(63)
+        word = (mixed >> rot) | (mixed << left)
+        for draw in (word & _MASK32, word >> _SHIFT32):
+            scaled = draw * scale
+            take = ((scaled & _MASK32) >= threshold) & (filled < need)
+            out[lanes[take], filled[take]] = scaled[take] >> _SHIFT32
+            filled += take
+        live = filled < need
+
+
+def kwise_coefficients(seeds, degree) -> np.ndarray:
+    """Coefficients of ``KWiseHash(r, degree, seed)`` for many seeds at once.
+
+    ``seeds`` holds integers in ``[0, 2^64)``; ``degree`` is one degree
+    or one per seed.  Returns an ``(len(seeds), max degree)`` int64
+    matrix whose row ``i`` begins with the coefficients seed ``i``'s hash
+    draws, zero-padded: bit for bit what numpy's per-seed draw gives.  A
+    smaller degree takes a prefix of the same draws, so mixed degrees
+    share one pass.
+    """
+    if isinstance(seeds, np.ndarray):
+        if seeds.ndim != 1 or (seeds.size and seeds.dtype.kind not in "iu"):
+            raise ValueError("seeds must be a 1-D array of integers")
+        if seeds.dtype.kind == "i" and seeds.size and seeds.min() < 0:
+            raise ValueError("seeds must be non-negative")
+    elif not all(_is_plain_seed(seed) for seed in seeds):
+        raise ValueError("seeds must be integers in [0, 2^64)")
+    # An explicit dtype: numpy infers float64 for ints of 2^63 and above.
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    degrees = np.broadcast_to(np.asarray(degree, dtype=np.int64), seeds.shape)
+    if degrees.size and degrees.min() < 1:
+        raise ValueError("degree must be >= 1")
+    coeffs = _bounded_draws(seeds, degrees, MERSENNE_P)
+    # Leading coefficient non-zero keeps the polynomial degree exact.
+    if coeffs.shape[1]:
+        coeffs[(degrees > 1) & (coeffs[:, 0] == 0), 0] = 1
+    return coeffs
+
+
+def _draw_coefficients(seed, degree: int) -> np.ndarray:
+    """One hash's coefficients through numpy's own generator (the
+    reference :func:`kwise_coefficients` replays)."""
+    rng = np.random.default_rng(seed)
+    coeffs = rng.integers(0, MERSENNE_P, size=degree, dtype=np.int64)
+    if degree > 1 and coeffs[0] == 0:
+        coeffs[0] = 1
+    return coeffs
+
+
+def _coefficient_rows(seeds: list, degrees) -> np.ndarray:
+    """:func:`kwise_coefficients` of integer ``seeds``, drawn per seed
+    through numpy when there are too few for the kernel to pay off."""
+    if len(seeds) >= _KERNEL_MIN_SEEDS:
+        return kwise_coefficients(np.asarray(seeds, dtype=np.uint64), degrees)
+    degrees = np.broadcast_to(degrees, len(seeds))
+    rows = np.zeros((len(seeds), degrees.max(initial=0)), dtype=np.int64)
+    for row, seed, degree in zip(rows, seeds, degrees.tolist()):
+        row[:degree] = _draw_coefficients(seed, degree)
+    return rows
+
+
+class _CoefficientBatch:
+    """Seeds waiting for their coefficients, and the objects awaiting them."""
+
+    def __init__(self):
+        self._seeds: list[int] = []
+        self._waiting: list = []
+
+    def defer(self, target, seeds: list, degree: int) -> None:
+        self._waiting.append((target, len(seeds), degree))
+        self._seeds.extend(seeds)
+        target._batch = self
+
+    def fill(self) -> None:
+        """Derive every waiting seed's coefficients in one call and hand
+        each target its ``(len(seeds), degree)`` block."""
+        waiting, seeds = self._waiting, self._seeds
+        self._waiting, self._seeds = [], []
+        if not waiting:
+            return
+        _targets, counts, degrees = zip(*waiting)
+        row_degrees = np.repeat(degrees, counts)
+        rows = _coefficient_rows(seeds, row_degrees)
+        by_degree: dict = {}
+        for entry in waiting:
+            by_degree.setdefault(entry[2], []).append(entry)
+        for degree, entries in by_degree.items():
+            # One compact block per degree; targets keep views of it,
+            # not of the zero-padded matrix.
+            block = rows[row_degrees == degree, :degree]
+            offset = 0
+            for target, count, _degree in entries:
+                del target._batch
+                target._fill(block[offset : offset + count])
+                offset += count
+
+
+_LOCAL = threading.local()
+
+
+@contextlib.contextmanager
+def coefficient_batch():
+    """Derive the coefficients of everything constructed inside at once.
+
+    Within the context, a :class:`KWiseHash` with an integer seed in
+    ``[0, 2^64)`` queues its seed instead of drawing, and so does every
+    :class:`~repro.sketch.l0.KMVBank` row; one :func:`kwise_coefficients`
+    call fills them all when the context exits, even by an exception.
+    Batches are per thread, and a batch opened inside another joins it,
+    so nested roots (an ``Oracle`` inside ``EstimateMaxCover``) share the
+    outermost one.
+    """
+    if getattr(_LOCAL, "batch", None) is not None:
+        yield
+        return
+    batch = _LOCAL.batch = _CoefficientBatch()
+    try:
+        yield
+    finally:
+        _LOCAL.batch = None
+        batch.fill()
+
+
+def defer_coefficients(target, seeds: list, degree: int) -> None:
+    """Have ``target._fill`` receive the ``(len(seeds), degree)``
+    coefficients of the integer ``seeds``: when the active batch fills,
+    or at once outside a batch."""
+    batch = getattr(_LOCAL, "batch", None)
+    if batch is None:
+        target._fill(_coefficient_rows(seeds, degree))
+    else:
+        batch.defer(target, seeds, degree)
+
+
+class DeferredCoefficients:
+    """Base of objects whose ``_coeffs`` a coefficient batch may fill.
+
+    Until the batch fills, a waiting object has no ``_coeffs`` (nor any
+    other name in ``_FILLED``) and holds the batch as ``_batch``; the
+    first read of a missing name fills the batch then, so reads always
+    see the drawn coefficients.  Subclasses implement ``_fill(coeffs)``.
+    """
+
+    _FILLED = ("_coeffs",)
+
+    def __getattr__(self, name):
+        # Reached only for names missing from the instance.
+        batch = self.__dict__.get("_batch")
+        if batch is not None and name in self._FILLED:
+            batch.fill()
+            if name in self.__dict__:
+                return self.__dict__[name]
+        raise AttributeError(
+            f"{type(self).__name__!r} object has no attribute {name!r}"
+        )
+
+
+def _is_plain_seed(seed) -> bool:
+    """Whether numpy would seed ``seed`` as one integer in ``[0, 2^64)``."""
+    return isinstance(seed, (int, np.integer)) and 0 <= int(seed) < 1 << 64
+
+
+class KWiseHash(DeferredCoefficients):
     """A hash function drawn from a ``degree``-wise independent family.
 
     Parameters
@@ -96,7 +431,9 @@ class KWiseHash:
         over inputs in ``[0, MERSENNE_P)``.
     seed:
         Seed (or :class:`numpy.random.Generator`) used to draw the
-        polynomial's coefficients.
+        polynomial's coefficients.  Inside :func:`coefficient_batch` an
+        integer seed in ``[0, 2^64)`` is queued and drawn with the rest
+        of the batch, to the same coefficients.
 
     Notes
     -----
@@ -106,6 +443,8 @@ class KWiseHash:
     below the failure probabilities the analyses budget for.
     """
 
+    _FILLED = ("_coeffs", "_coeffs_py")
+
     def __init__(self, range_size: int, degree: int = 4, seed=0):
         if range_size < 1:
             raise ValueError(f"range_size must be >= 1, got {range_size}")
@@ -113,13 +452,15 @@ class KWiseHash:
             raise ValueError(f"degree must be >= 1, got {degree}")
         self.range_size = int(range_size)
         self.degree = int(degree)
-        rng = np.random.default_rng(seed)
-        # Leading coefficient non-zero keeps the polynomial degree exact.
-        coeffs = rng.integers(0, MERSENNE_P, size=self.degree, dtype=np.int64)
-        if self.degree > 1 and coeffs[0] == 0:
-            coeffs[0] = 1
-        self._coeffs = coeffs
-        self._coeffs_py = [int(a) for a in coeffs]
+        if _is_plain_seed(seed):
+            defer_coefficients(self, [int(seed)], self.degree)
+        else:
+            self._fill(_draw_coefficients(seed, self.degree)[np.newaxis])
+
+    def _fill(self, coeffs) -> None:
+        """Adopt the ``(1, degree)`` coefficient block drawn for the seed."""
+        self._coeffs = coeffs[0]
+        self._coeffs_py = self._coeffs.tolist()
 
     def __call__(self, x):
         """Hash ``x`` (int or integer ndarray) into ``[0, range_size)``."""
@@ -171,7 +512,10 @@ class KWiseHashBank:
             )
         self.degree = degrees.pop()
         self.size = len(hashes)
-        self._coeffs = np.stack([h._coeffs for h in hashes])
+        # Stacked on first use: members built in a coefficient batch
+        # have no coefficients until the batch fills.
+        self._hashes = hashes
+        self._coeffs = None
         self._ranges = np.asarray(
             [h.range_size for h in hashes], dtype=np.int64
         ).reshape(-1, 1)
@@ -186,6 +530,8 @@ class KWiseHashBank:
         """
         xs = np.asarray(xs, dtype=np.int64) % MERSENNE_P
         coeffs = self._coeffs
+        if coeffs is None:
+            coeffs = self._coeffs = np.stack([h._coeffs for h in self._hashes])
         acc = (
             out
             if out is not None

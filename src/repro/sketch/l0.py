@@ -32,7 +32,12 @@ from repro.base import (
     sorted_unique,
 )
 from repro.engine.profile import PROFILER
-from repro.sketch.hashing import MERSENNE_P, KWiseHash
+from repro.sketch.hashing import (
+    MERSENNE_P,
+    DeferredCoefficients,
+    KWiseHash,
+    defer_coefficients,
+)
 
 __all__ = ["L0Sketch", "KMVBank"]
 
@@ -228,24 +233,26 @@ class L0Sketch(StreamingAlgorithm):
         return len(self._heap) + self._hash.space_words() + 1
 
 
-class KMVBank:
+class KMVBank(DeferredCoefficients):
     """KMV synopses for the rows ``[0, rows)``, stacked into arrays.
 
     Row ``r`` is the synopsis a standalone
     ``L0Sketch(sketch_size, seed=(seed + r) & (2**63 - 1))`` fed
     the same items would hold: its ``sketch_size`` smallest distinct
-    hash values, for the same estimate.  Rows are created by their first
-    item, never up front.
+    hash values, for the same estimate.  Rows hold values only once
+    their first item arrives.
 
     The state is one sorted, duplicate-free int64 array of keys
     ``row << 31 | value`` (hash values lie in ``[0, 2^31 - 1)``), so the
     rows sit in id order and a row's values ascend.  A per-row threshold
     -- the row's largest kept value once it is full -- pre-filters items
-    that cannot enter.  Row ``r``'s hash coefficients are copied into a
-    ``(rows, 16)`` matrix the first time ``r`` is fed, and a batch is
-    hashed with one Horner pass over coefficients gathered per item.  KMV
-    keeps the ``k`` smallest distinct values whatever the arrival order
-    or batching, so the bank is bit-identical to the per-row sketches.
+    that cannot enter.  Every row's hash coefficients sit in a
+    ``(rows, 16)`` matrix derived at construction, in the enclosing
+    :func:`~repro.sketch.hashing.coefficient_batch` when there is one,
+    and a batch of items is hashed with one Horner pass over coefficients
+    gathered per item.  KMV keeps the ``k`` smallest distinct values
+    whatever the arrival order or batching, so the bank is bit-identical
+    to the per-row sketches.
 
     Parameters
     ----------
@@ -269,11 +276,18 @@ class KMVBank:
         # A value enters row r only below _threshold[r]; no hash value
         # reaches MERSENNE_P, so a row that is not full takes anything.
         self._threshold = np.full(self.rows, MERSENNE_P, dtype=np.int64)
-        # Each row's hash, built when the row is first fed; its
-        # coefficients also land in the gathered matrix.
+        # The scalar path's per-row hashes, built when a row is first fed.
         self._hashes: dict[int, KWiseHash] = {}
-        self._coeffs = np.zeros((self.rows, _BANK_DEGREE), dtype=np.int64)
-        self._filled = np.zeros(self.rows, dtype=bool)
+        # (seed + r) & (2^63 - 1), from the seed's low 63 bits: no
+        # uint64 overflow for any row count up to 2^32.
+        seeds = (
+            np.arange(self.rows, dtype=np.uint64)
+            + np.uint64(self.seed & (2**63 - 1))
+        ) & np.uint64(2**63 - 1)
+        defer_coefficients(self, seeds.tolist(), _BANK_DEGREE)
+
+    def _fill(self, coeffs) -> None:
+        self._coeffs = coeffs
 
     def _row_hash(self, row: int) -> KWiseHash:
         hash_ = self._hashes.get(row)
@@ -284,8 +298,6 @@ class KMVBank:
                 seed=(self.seed + row) & (2**63 - 1),
             )
             self._hashes[row] = hash_
-            self._coeffs[row] = hash_._coeffs
-            self._filled[row] = True
         return hash_
 
     def insert(self, rows: np.ndarray, items: np.ndarray) -> None:
@@ -306,10 +318,6 @@ class KMVBank:
         self._insert_now(rows, items)
 
     def _insert_now(self, rows, items) -> None:
-        fresh = ~self._filled[rows]
-        if fresh.any():
-            for row in sorted_unique(rows[fresh]).tolist():
-                self._row_hash(row)
         # KWiseHash's Horner recurrence, each item under its own row's
         # coefficients.  Residues stay below 2^31, so products fit int64.
         coeffs = self._coeffs[rows].T.copy()

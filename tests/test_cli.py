@@ -152,8 +152,17 @@ class TestBench:
         out = capsys.readouterr().out
         assert "tokens:" in out
         assert "throughput:" in out
+        assert "construct_seconds:" in out
         assert "finalize_seconds:" in out
         assert "profile" not in out
+
+    def test_sharded_bench_omits_construct_seconds(self, stream_file, capsys):
+        # The workers construct their own estimators.
+        code = main(["bench", stream_file, "--k", "5", "--workers", "2"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "tokens:" in out
+        assert "construct_seconds:" not in out
 
     def test_bench_profile_breakdown(self, stream_file, capsys):
         code = main(["bench", stream_file, "--k", "5", "--profile"])

@@ -7,13 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.sketch import hashing
 from repro.sketch.hashing import (
     MERSENNE_P,
     KWiseHash,
     KWiseHashBank,
     SampledSet,
     SignHash,
+    coefficient_batch,
     default_degree,
+    kwise_coefficients,
 )
 
 
@@ -179,3 +182,112 @@ class TestSampledSet:
         # Sanity on the field modulus via Fermat's little theorem.
         assert pow(2, MERSENNE_P - 1, MERSENNE_P) == 1
         assert pow(3, MERSENNE_P - 1, MERSENNE_P) == 1
+
+
+def _numpy_coefficients(seed, degree):
+    """What ``KWiseHash(r, degree, seed)`` drew before the kernel existed:
+    numpy's own generator, leading coefficient forced non-zero."""
+    coeffs = np.random.default_rng(seed).integers(
+        0, MERSENNE_P, size=degree, dtype=np.int64
+    )
+    if degree > 1 and coeffs[0] == 0:
+        coeffs[0] = 1
+    return coeffs
+
+
+class TestKWiseCoefficients:
+    """The vectorised kernel replays numpy's per-seed draw bit for bit."""
+
+    EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64 - 1]
+    SEEDS = [
+        int(s)
+        for s in np.random.default_rng(20261018).integers(
+            0, 2**64, size=2000, dtype=np.uint64
+        )
+    ] + EDGE_SEEDS
+
+    @pytest.mark.parametrize("degree", [1, 2, 4, *range(12, 23), 64])
+    def test_matches_numpy_per_seed(self, degree):
+        got = kwise_coefficients(self.SEEDS, degree)
+        assert got.shape == (len(self.SEEDS), degree)
+        assert got.dtype == np.int64
+        for seed, row in zip(self.SEEDS, got):
+            assert np.array_equal(row, _numpy_coefficients(seed, degree))
+
+    def test_mixed_degrees_take_prefixes_of_one_draw(self):
+        seeds = self.SEEDS[:600]
+        degrees = np.random.default_rng(3).choice([1, 2, 4, 16, 22, 64], 600)
+        got = kwise_coefficients(seeds, degrees)
+        assert got.shape == (600, 64)
+        for seed, degree, row in zip(seeds, degrees.tolist(), got):
+            expected = _numpy_coefficients(seed, degree)
+            assert np.array_equal(row[:degree], expected)
+            assert not row[degree:].any()
+
+    @pytest.mark.parametrize(
+        "range_size",
+        # About 50% and 25% of 32-bit draws rejected, so most lanes redraw;
+        # at MERSENNE_P the rejection path has probability ~2^-31.
+        [2**31 + 1, 3 * 2**30],
+    )
+    def test_rejected_draws_are_redrawn_like_numpy(self, range_size):
+        seeds = self.SEEDS[:400]
+        counts = np.random.default_rng(4).integers(1, 40, size=len(seeds))
+        got = hashing._bounded_draws(seeds, counts, range_size)
+        for seed, count, row in zip(seeds, counts.tolist(), got):
+            expected = np.random.default_rng(seed).integers(
+                0, range_size, size=count, dtype=np.int64
+            )
+            assert np.array_equal(row[:count], expected)
+
+    def test_rejects_bad_seeds_and_degrees(self):
+        with pytest.raises(ValueError):
+            kwise_coefficients([3, -1], 4)
+        with pytest.raises(ValueError):
+            kwise_coefficients([3, 4], 0)
+        with pytest.raises(ValueError):
+            kwise_coefficients([1.5], 4)
+
+
+class TestBatchedHashes:
+    """Inside a coefficient batch, integer seeds wait for one kernel call;
+    every other seed still draws through numpy at once."""
+
+    def test_integer_seeds_wait_and_match_numpy(self):
+        seeds = [0, 5, np.int64(7), np.uint64(2**64 - 1), 2**40]
+        with coefficient_batch():
+            hashes = [KWiseHash(97, degree=6, seed=s) for s in seeds]
+            assert all("_coeffs" not in vars(h) for h in hashes)
+        for seed, h in zip(seeds, hashes):
+            assert np.array_equal(h._coeffs, _numpy_coefficients(int(seed), 6))
+            assert "_batch" not in vars(h)
+
+    def test_other_seeds_take_numpy_path_unchanged(self):
+        with coefficient_batch():
+            from_generator = KWiseHash(
+                97, degree=6, seed=np.random.default_rng(5)
+            )
+            from_sequence = KWiseHash(
+                97, degree=6, seed=np.random.SeedSequence(9)
+            )
+            from_none = KWiseHash(97, degree=6, seed=None)
+            too_big = KWiseHash(97, degree=6, seed=2**64)
+            for h in (from_generator, from_sequence, from_none, too_big):
+                assert "_coeffs" in vars(h)
+        assert np.array_equal(
+            from_generator._coeffs, _numpy_coefficients(5, 6)
+        )
+        assert np.array_equal(
+            from_sequence._coeffs,
+            _numpy_coefficients(np.random.SeedSequence(9), 6),
+        )
+        assert np.array_equal(too_big._coeffs, _numpy_coefficients(2**64, 6))
+        assert from_none._coeffs.min() >= 0
+        assert from_none._coeffs.max() < MERSENNE_P
+
+    def test_negative_seed_raises(self):
+        with pytest.raises(ValueError):
+            KWiseHash(10, seed=-1)
+        with pytest.raises(ValueError):
+            with coefficient_batch():
+                KWiseHash(10, seed=np.int64(-3))

@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.large_set import _L0_SIZE
 from repro.core.oracle import Oracle
 from repro.core.parameters import Parameters
 from repro.core.small_set import SmallSet
@@ -60,7 +61,7 @@ def _reference_rows(run, set_ids, elements) -> dict:
             continue
         if sid not in sketches:
             sketches[sid] = L0Sketch(
-                sketch_size=run._l0_size,
+                sketch_size=_L0_SIZE,
                 seed=(run._l0_seed + sid) & (2**63 - 1),
             )
         sketches[sid].process(element)
@@ -79,7 +80,7 @@ def _assert_rows_match(oracle, set_ids, elements):
         sids, estimates = run._l0.estimates()
         for sid, estimate in zip(sids.tolist(), estimates.tolist()):
             sketch = L0Sketch(
-                sketch_size=run._l0_size,
+                sketch_size=_L0_SIZE,
                 seed=(run._l0_seed + sid) & (2**63 - 1),
             )
             sketch.load_state_arrays(
@@ -132,7 +133,7 @@ class TestKMVBankReference:
 
     def test_sampled_l0_ties_go_to_the_smallest_sid(self, planted_workload):
         run = _large_set_oracle(planted_workload)._large_set._runs[0]
-        size = run._l0_size
+        size = _L0_SIZE
         row = np.arange(1, size + 1, dtype=np.int64)
         state = run.state_arrays()
         state["l0_sids"] = np.asarray([3, 7], dtype=np.int64)
