@@ -430,6 +430,17 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
+def _peak_rss_mb() -> float:
+    """This process's peak resident set size, in MB.
+
+    ``ru_maxrss`` counts KiB on Linux and bytes on macOS.
+    """
+    import resource
+
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (1024.0 * 1024.0 if sys.platform == "darwin" else 1024.0)
+
+
 def _cmd_bench(args) -> int:
     import functools
     import time
@@ -468,7 +479,10 @@ def _cmd_bench(args) -> int:
     print(f"tokens: {report.tokens}")
     print(f"seconds: {report.seconds:.3f}")
     if construct_seconds is not None:
+        # Single-process runs only: with --workers > 1 the workers
+        # construct, and the coordinator's RSS leaves them out.
         print(f"construct_seconds: {construct_seconds:.3f}")
+        print(f"peak_rss_mb: {_peak_rss_mb():.1f}")
     print(f"finalize_seconds: {finalize_seconds:.3f}")
     print(f"estimate: {estimate:.1f}")
     print(f"space_words: {algo.space_words()}")

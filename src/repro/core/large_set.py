@@ -100,7 +100,9 @@ class LargeSetRun(StreamingAlgorithm):
     simplification valid when ``U^cmn_w`` is empty.
 
     Ingest state is array-backed: each ``F2Contributing`` keeps its
-    levels' CountSketch tables in one stacked bank, and the case-2b
+    levels' CountSketch tables in one stacked bank that holds only the
+    counters the superset domain reaches (``space_words`` still charges
+    the full tables), and the case-2b
     ``L_0`` sketches of the sampled supersets are the rows of one
     :class:`~repro.sketch.l0.KMVBank` (superset ``i`` hashes with seed
     ``(l0_seed + i) & (2**63 - 1)``).  Both are linear or order-free, so
@@ -232,21 +234,18 @@ class LargeSetRun(StreamingAlgorithm):
     def _ingest_sids(self, sids, elements, sampled) -> None:
         """Feed superset ids to every consumer.
 
-        One ``bincount`` over the superset domain groups the chunk into
-        sorted present ids and their multiplicities for both
-        contributing detectors; the KMV bank hashes the ``(sid,
-        element)`` pairs whose superset is sampled (``sampled`` is a
-        per-position mask, ``None`` when every superset is).
+        One ``bincount`` over the superset domain counts the chunk's
+        ids for both contributing detectors; the KMV bank hashes the
+        ``(sid, element)`` pairs whose superset is sampled (``sampled``
+        is a per-position mask, ``None`` when every superset is).
         """
         profiling = PROFILER.enabled
         t0 = PROFILER.clock() if profiling else 0.0
         counts = np.bincount(sids, minlength=self.num_supersets)
-        present = np.flatnonzero(counts)
-        counts = counts[present]
         if profiling:
             PROFILER.add("group-split", PROFILER.clock() - t0)
-        self._cntr_small.ingest_grouped(present, counts, len(sids))
-        self._cntr_large.ingest_grouped(present, counts, len(sids))
+        self._cntr_small.ingest_grouped(counts, len(sids))
+        self._cntr_large.ingest_grouped(counts, len(sids))
         if sampled is None:
             self._l0.insert(sids, elements)
         elif sampled.any():
@@ -263,8 +262,6 @@ class LargeSetRun(StreamingAlgorithm):
             else plan.request_mask(elem_col, sampler._membership)
         )
         sid_col, self._partition_slot = plan.derive(set_col, self._partition)
-        self._cntr_small._register_plan(plan, sid_col)
-        self._cntr_large._register_plan(plan, sid_col)
         self._ss_slot = plan.request_mask(sid_col, self._superset_sampler)
 
     def _process_planned(self, set_ids, elements, ctx) -> None:

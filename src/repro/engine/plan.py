@@ -2,9 +2,11 @@
 
 Every universe-reduction branch of ``EstimateMaxCover`` feeds an oracle
 whose subroutines -- ``LargeCommon`` membership layers, ``LargeSet``
-partitions and F2-Contributing level samplers, ``SmallSet`` edge
-samplers, CountSketch bucket/sign rows -- independently evaluate k-wise
-polynomial hashes against the *same* two chunk columns.  An
+partitions and superset samplers, ``SmallSet`` edge samplers --
+independently evaluate k-wise polynomial hashes against the *same* two
+chunk columns.  (``LargeSet``'s contributing detectors lay out their
+CountSketch rows and level samplers over the superset domain
+themselves; see :class:`~repro.sketch.countsketch.CountSketch`.)  An
 :class:`EvalPlan` is built once per composite (lazily, at the first
 vectorised chunk) by walking that tree and registering every family
 that will ever be evaluated:
@@ -54,7 +56,8 @@ __all__ = [
 
 #: Largest domain for which a slot precomputes a full value table.
 #: Above the cap the slot joins a per-chunk mega-bank instead, so huge
-#: universes degrade gracefully to the fused-Horner path.
+#: universes degrade gracefully to the fused-Horner path.  A domain-mode
+#: ``CountSketch`` lays out its domain up to the same cap.
 TABLE_DOMAIN_CAP = 1 << 16
 
 class Column:

@@ -8,7 +8,10 @@ frequency, in ``O~(1/phi)`` space.  We implement the standard recipe:
 * :class:`CountSketch` -- Charikar--Chen--Farach-Colton: ``depth`` rows of
   ``width`` counters, each row pairing a 4-wise bucket hash with a 4-wise
   sign hash.  ``query(i)`` medians the signed counters; the per-row error
-  is ``sqrt(F_2 / width)`` with constant probability.
+  is ``sqrt(F_2 / width)`` with constant probability.  Over a known
+  coordinate domain no wider than ``width`` most counters of a row can
+  never be reached; the sketch then holds only the reachable ones
+  (see the class docstring) while charging the full table.
 * :class:`F2HeavyHitter` -- wraps a CountSketch, whose row norms give
   the ``F_2`` estimate, and reports coordinates whose estimated
   frequency clears ``sqrt(phi * F_2-estimate)``.  When the caller knows
@@ -30,6 +33,7 @@ from repro.base import (
     pack_state,
     unpack_state,
 )
+from repro.engine.plan import TABLE_DOMAIN_CAP
 from repro.engine.profile import PROFILER
 from repro.sketch.hashing import KWiseHash, KWiseHashBank, SignHash
 
@@ -41,6 +45,11 @@ __all__ = ["CountSketch", "F2HeavyHitter"]
 #: with a far larger per-element constant.
 _BINCOUNT_FACTOR = 16
 
+#: Row sums of squares below this are exact in float64 whatever the
+#: summation order, so the compact and the full table give the same
+#: ``f2_estimate`` bit for bit.
+_EXACT_SUM = 2.0**53
+
 
 def _unique_grouped(items):
     """``(unique, first_pos, counts)``: sorted unique values, the index
@@ -49,6 +58,35 @@ def _unique_grouped(items):
         items, return_index=True, return_counts=True
     )
     return unique, first_pos.astype(np.int64), counts.astype(np.int64)
+
+
+def sign_table(bits):
+    """``+-1`` int8 signs from sign-hash bits (``1 -> +1``, ``0 -> -1``)."""
+    signs = bits.astype(np.int8)
+    signs *= 2
+    signs -= 1
+    return signs
+
+
+def number_buckets(buckets, width: int):
+    """``slots[r, x]``: the rank of ``buckets[r, x]`` among the distinct
+    values of row ``r``, so every row's reachable buckets are numbered
+    ``0, 1, ...`` in ascending bucket order.
+
+    One sort of ``row * width + bucket`` keys orders every row at once;
+    row ``r``'s keys then fill sorted positions ``r * domain`` onwards.
+    """
+    rows, domain = buckets.shape
+    keys = (buckets + (np.arange(rows) * width)[:, None]).ravel()
+    order = np.argsort(keys)
+    ranked = keys[order]
+    # A slot is below min(domain, width) <= TABLE_DOMAIN_CAP.
+    rank = np.zeros(len(keys), dtype=np.int32)
+    np.cumsum(ranked[1:] != ranked[:-1], out=rank[1:])
+    rank -= np.repeat(rank[::domain], domain)
+    slots = np.empty_like(rank)
+    slots[order] = rank
+    return slots.reshape(rows, domain)
 
 
 class CountSketch(StreamingAlgorithm):
@@ -63,9 +101,30 @@ class CountSketch(StreamingAlgorithm):
         ``exp(-Omega(depth))`` per query).
     seed:
         Randomness for the bucket and sign hashes.
+    domain:
+        Size of the coordinate space when the caller knows it: every
+        item must lie in ``[0, domain)`` (others raise ``ValueError``).
+        Up to ``TABLE_DOMAIN_CAP`` coordinates, the sketch hashes the
+        whole domain once, at first use, numbers each row's distinct
+        buckets, and holds a ``(depth, min(domain, width))`` table
+        addressed through those slot numbers and a ``+-1`` sign table.
+        A row can reach at most ``domain`` of its ``width`` buckets, and
+        the others stay zero, so :meth:`state_arrays` scatters the
+        compact table back to the ``(depth, width)`` table an open
+        sketch would hold, and every query, merge and estimate equals
+        it bit for bit.  :meth:`space_words` still charges ``depth *
+        width`` counters, the paper's allocation.  Above the cap the
+        sketch keeps the full table and hashes every batch.  ``None``
+        (the default) is an open domain.
     """
 
-    def __init__(self, width: int = 256, depth: int = 5, seed=0):
+    def __init__(
+        self,
+        width: int = 256,
+        depth: int = 5,
+        seed=0,
+        domain: int | None = None,
+    ):
         super().__init__()
         if width < 1 or depth < 1:
             raise ValueError(
@@ -74,6 +133,9 @@ class CountSketch(StreamingAlgorithm):
         self.width = int(width)
         self.depth = int(depth)
         self.seed = seed
+        self.domain = (
+            None if domain is None else check_positive_int("domain", domain)
+        )
         rng = np.random.default_rng(seed)
         self._bucket_hashes = [
             KWiseHash(self.width, degree=4, seed=rng.integers(0, 2**63))
@@ -88,18 +150,86 @@ class CountSketch(StreamingAlgorithm):
         self._sign_bank = KWiseHashBank(
             [sign._hash for sign in self._sign_hashes]
         )
-        self._table = np.zeros((self.depth, self.width), dtype=np.int64)
-        # Fused-plan slots (see _register_plan); populated lazily.
-        self._bucket_slots = None
-        self._sign_slots = None
-        self._bucket_tables = None
-        self._sign_tables = None
+        self._compact = (
+            self.domain is not None and self.domain <= TABLE_DOMAIN_CAP
+        )
+        columns = min(self.domain, self.width) if self._compact else self.width
+        self._table = np.zeros((self.depth, columns), dtype=np.int64)
+        self._row_index = np.arange(self.depth)[:, None]
+        # Compact mode's (slots, signs) tables; built at first use,
+        # since the hash coefficients may still wait in a batch.
+        self._layout = None
+
+    # -- the compact layout -----------------------------------------------
+
+    def _cells(self):
+        """``(slots, signs, buckets)``, all ``(depth, domain)``: each
+        coordinate's column in the compact table (int32), its ``+-1``
+        sign (int8) and its bucket in the full row (int32), per row.
+        The buckets place the compact table in the full one when state
+        is shipped."""
+        if self._layout is None:
+            items = np.arange(self.domain, dtype=np.int64)
+            buckets = self._bucket_bank.eval_many(items)
+            self._layout = (
+                number_buckets(buckets, self.width),
+                sign_table(self._sign_bank.eval_many(items)),
+                buckets.astype(np.int32),
+            )
+        return self._layout
+
+    def _check_items(self, low: int, high: int) -> None:
+        """Raise ``ValueError`` unless ``low..high`` lies in the domain."""
+        if low < 0 or high >= self.domain:
+            item = low if low < 0 else high
+            raise ValueError(
+                f"item {item} is outside the CountSketch domain "
+                f"[0, {self.domain})"
+            )
+
+    def _rows(self, items):
+        """``(columns, signs)``, both ``(depth, len(items))``: where each
+        item lands in every row of ``self._table``, and its sign.
+
+        Read from the compact layout, or hashed by the row banks for an
+        open domain and above the cap.
+        """
+        if self.domain is not None and len(items):
+            self._check_items(int(items.min()), int(items.max()))
+        if self._compact:
+            slots, signs, _buckets = self._cells()
+            return slots[:, items], signs[:, items]
+        return (
+            self._bucket_bank.eval_many(items),
+            sign_table(self._sign_bank.eval_many(items)),
+        )
+
+    def _full_table(self):
+        """The ``(depth, width)`` table an open-domain sketch would hold."""
+        if not self._compact:
+            return self._table
+        slots, _signs, buckets = self._cells()
+        full = np.zeros((self.depth, self.width), dtype=np.int64)
+        rows = self._row_index
+        full[rows, buckets] = self._table[rows, slots]
+        return full
+
+    # -- updates ----------------------------------------------------------
 
     def _process(self, item, count: int = 1) -> None:
         self.update(int(item), count)
 
     def update(self, item: int, count: int = 1) -> None:
-        """Add ``count`` to coordinate ``item`` (internal, unchecked)."""
+        """Add ``count`` to coordinate ``item`` (internal, unchecked
+        for an open domain)."""
+        if self.domain is not None:
+            self._check_items(item, item)
+        if self._compact:
+            slots, signs, _buckets = self._cells()
+            self._table[self._row_index[:, 0], slots[:, item]] += np.multiply(
+                signs[:, item], count, dtype=np.int64
+            )
+            return
         table = self._table
         for row in range(self.depth):
             bucket = self._bucket_hashes[row](item)
@@ -128,12 +258,10 @@ class CountSketch(StreamingAlgorithm):
         sums = np.bincount(
             inverse, weights=counts, minlength=len(unique)
         ).astype(np.int64)
-        buckets = self._bucket_bank.eval_many(unique)
-        signs = np.where(self._sign_bank.eval_many(unique) == 1, 1, -1)
-        self._scatter(buckets, signs, sums)
+        self._scatter(*self._rows(unique), sums)
 
-    def _scatter(self, buckets, signs, sums) -> None:
-        """Add ``signs * sums`` into the table rows at ``buckets``.
+    def _scatter(self, columns, signs, sums) -> None:
+        """Add ``signs * sums`` into the table rows at ``columns``.
 
         Two exactly-equivalent kernels behind a length threshold: many
         distinct items flatten into one weighted bincount over the whole
@@ -150,7 +278,7 @@ class CountSketch(StreamingAlgorithm):
         cells = depth * width
         if values.shape[1] * _BINCOUNT_FACTOR >= cells:
             offsets = (np.arange(depth, dtype=np.int64) * width)[:, None]
-            flat = buckets + offsets
+            flat = columns + offsets
             table += (
                 np.bincount(
                     flat.ravel(), weights=values.ravel(), minlength=cells
@@ -160,123 +288,110 @@ class CountSketch(StreamingAlgorithm):
             )
         else:
             for row in range(depth):
-                np.add.at(table[row], buckets[row], values[row])
+                np.add.at(table[row], columns[row], values[row])
         if profiling:
             PROFILER.add("scatter", PROFILER.clock() - t0)
-
-    # -- fused-plan hooks ---------------------------------------------------
-
-    def _register_plan(self, plan, column) -> None:
-        """Register every bucket/sign row against ``column``."""
-        self._bucket_slots = [
-            plan.request(column, h) for h in self._bucket_hashes
-        ]
-        self._sign_slots = [
-            plan.request(column, s._hash) for s in self._sign_hashes
-        ]
-        self._bucket_tables = None
-        self._sign_tables = None
-
-    def _domain_tables(self):
-        """``(buckets, signs)``: ``(depth, domain)`` tables of every row's
-        bucket and ``+-1`` sign over the plan column's whole domain.
-
-        Returns ``(None, None)`` without a plan, or when the plan kept
-        this column in mega-bank mode (domain too large to tabulate).
-        """
-        if self._bucket_slots is None:
-            return None, None
-        if self._bucket_tables is None:
-            bucket_rows = [slot.table() for slot in self._bucket_slots]
-            sign_rows = [slot.table() for slot in self._sign_slots]
-            if any(row is None for row in bucket_rows + sign_rows):
-                self._bucket_slots = None
-                self._sign_slots = None
-                return None, None
-            self._bucket_tables = np.stack(bucket_rows)
-            self._sign_tables = np.where(np.stack(sign_rows) == 1, 1, -1)
-        return self._bucket_tables, self._sign_tables
-
-    def _rows(self, items):
-        """``(buckets, signs)`` for ``items``: gathered from the plan's
-        domain tables when they exist, hashed by the row banks otherwise."""
-        buckets, signs = self._domain_tables()
-        if buckets is None:
-            return (
-                self._bucket_bank.eval_many(items),
-                np.where(self._sign_bank.eval_many(items) == 1, 1, -1),
-            )
-        return buckets[:, items], signs[:, items]
 
     def update_grouped(self, items: np.ndarray, sums: np.ndarray) -> None:
         """Update from pre-deduplicated ``(items, sums)`` pairs.
 
-        The planned ``LargeSet`` kernel dedupes superset ids once per
-        chunk and feeds every consumer the shared unique/count arrays;
-        this entry point skips :meth:`update_batch`'s ``np.unique`` and
-        hashes via the plan's domain tables when available.  The table
-        it produces is bit-identical to :meth:`update_batch` on the raw
-        items.
+        Skips :meth:`update_batch`'s ``np.unique`` for callers that
+        grouped their items already (``F2HeavyHitter.ingest_unique``).
+        The table it produces is bit-identical to :meth:`update_batch`
+        on the raw items.
         """
-        buckets, signs = self._rows(items)
-        self._scatter(buckets, signs, sums)
+        self._scatter(*self._rows(np.asarray(items, dtype=np.int64)), sums)
+
+    # -- queries ----------------------------------------------------------
 
     def query(self, item: int) -> float:
         """Median-of-rows estimate of coordinate ``item``'s frequency."""
         item = int(item)
-        estimates = [
-            self._sign_hashes[row](item)
-            * self._table[row, self._bucket_hashes[row](item)]
-            for row in range(self.depth)
-        ]
+        if self.domain is not None:
+            self._check_items(item, item)
+        if self._compact:
+            slots, signs, _buckets = self._cells()
+            estimates = signs[:, item] * self._table[
+                self._row_index[:, 0], slots[:, item]
+            ]
+        else:
+            estimates = [
+                self._sign_hashes[row](item)
+                * self._table[row, self._bucket_hashes[row](item)]
+                for row in range(self.depth)
+            ]
         return float(np.median(estimates))
 
     def query_many(self, items) -> np.ndarray:
         """:meth:`query` for every item at once: the same floats, from
         one gather and one median over the rows."""
-        buckets, signs = self._rows(np.asarray(items, dtype=np.int64))
-        rows = np.arange(self.depth)[:, None]
-        return np.median(signs * self._table[rows, buckets], axis=0)
+        columns, signs = self._rows(np.asarray(items, dtype=np.int64))
+        return np.median(signs * self._table[self._row_index, columns], axis=0)
 
     def f2_estimate(self) -> float:
         """Median over rows of the row's squared norm: an ``F_2`` estimate.
 
         Each row's ``sum_b table[row][b]^2`` is exactly the AMS estimator
         with ``width`` buckets, so the median over rows is a constant
-        factor approximation of ``F_2`` -- all Theorem 2.10 needs.
+        factor approximation of ``F_2`` -- all Theorem 2.10 needs.  A
+        compact table sums only its reachable counters; the sums are
+        integers below ``2^53``, hence exact and equal to the full
+        table's, unless a row reaches that bound, where the full table
+        is summed instead.
         """
-        squares = self._table.astype(np.float64) ** 2
-        return float(np.median(squares.sum(axis=1)))
+        sums = (self._table.astype(np.float64) ** 2).sum(axis=1)
+        if self._compact and sums.max() >= _EXACT_SUM:
+            sums = (self._full_table().astype(np.float64) ** 2).sum(axis=1)
+        return float(np.median(sums))
+
+    # -- merging / state --------------------------------------------------
 
     def _require_mergeable(self, other: "CountSketch") -> None:
         if (
             other.width != self.width
             or other.depth != self.depth
             or other.seed != self.seed
+            or other.domain != self.domain
         ):
             raise MergeIncompatibleError(
-                "can only merge CountSketch tables with identical seed "
-                "and shape"
+                "can only merge CountSketch tables with identical seed, "
+                "shape and domain"
             )
 
     def _merge(self, other: "CountSketch") -> None:
         # CountSketch tables are linear in the stream: adding sharded
-        # tables reproduces the single-stream sketch exactly.
+        # tables reproduces the single-stream sketch exactly.  Equal
+        # seeds and domains give equal compact layouts.
         self._table += other._table
 
     def _state_arrays(self) -> dict:
-        return {"table": self._table}
+        return {"table": self._full_table()}
 
     def _load_state_arrays(self, state: dict) -> None:
         # In place: ``F2Contributing`` holds the table as a view of its
         # stacked level bank, and the view must survive a load.
         table = np.asarray(state["table"])
-        if table.shape != self._table.shape or table.dtype.kind not in "iu":
+        shape = (self.depth, self.width)
+        if table.shape != shape or table.dtype.kind not in "iu":
             raise ValueError(
-                f"CountSketch table must be a {self._table.shape} integer "
+                f"CountSketch table must be a {shape} integer "
                 f"array, got {table.dtype} {table.shape}"
             )
-        self._table[...] = table
+        if not self._compact:
+            self._table[...] = table
+            return
+        slots, _signs, buckets = self._cells()
+        compact = np.zeros_like(self._table)
+        rows = self._row_index
+        compact[rows, slots] = table[rows, buckets]
+        # The compact table holds each reachable cell once, so it has
+        # fewer nonzeros exactly when an unreachable cell is nonzero.
+        if np.count_nonzero(compact) != np.count_nonzero(table):
+            raise ValueError(
+                "CountSketch table has a nonzero counter in a cell that "
+                f"no coordinate of the domain [0, {self.domain}) reaches"
+            )
+        self._table[...] = compact
 
     def space_words(self) -> int:
         hashes = sum(h.space_words() for h in self._bucket_hashes)
@@ -310,8 +425,11 @@ class F2HeavyHitter(StreamingAlgorithm):
         The CountSketch table is then the whole state and
         :meth:`peek_heavy_hitters` scores every coordinate, so nothing
         depends on arrival order and scalar, batched and merged runs
-        are bit-identical.  ``None`` (the default) tracks a bounded
-        candidate pool online instead.
+        are bit-identical.  The domain is passed to the CountSketch,
+        which holds only the ``depth * min(domain, width)`` counters the
+        domain can reach (see :class:`CountSketch`); ``space_words``
+        still charges the full table.  ``None`` (the default) tracks a
+        bounded candidate pool online instead.
     """
 
     def __init__(
@@ -333,7 +451,9 @@ class F2HeavyHitter(StreamingAlgorithm):
         )
         # Width O(1/phi) makes a phi-heavy coordinate dominate its bucket.
         width = max(8, int(np.ceil(8.0 / phi)))
-        self._sketch = CountSketch(width=width, depth=depth, seed=seed)
+        self._sketch = CountSketch(
+            width=width, depth=depth, seed=seed, domain=self.domain
+        )
         self.capacity = max(4, int(np.ceil(4.0 / phi)))
         # The open-domain pool prunes on a deterministic token schedule
         # -- every ``prune_period`` arrivals -- rather than on overflow.
@@ -346,22 +466,12 @@ class F2HeavyHitter(StreamingAlgorithm):
         self._pool_tokens = 0
         self._candidates: dict[int, float] = {}
 
-    def _check_domain(self, low: int, high: int) -> None:
-        """Raise ``ValueError`` unless ``low..high`` lies in ``[0, domain)``."""
-        if low < 0 or high >= self.domain:
-            item = low if low < 0 else high
-            raise ValueError(
-                f"item {item} is outside the heavy-hitter domain "
-                f"[0, {self.domain})"
-            )
-
     def _process(self, item, count: int = 1) -> None:
         item = int(item)
-        if self.domain is not None:
-            self._check_domain(item, item)
-            self._sketch.update(item, count)
-            return
+        # In domain mode the sketch rejects items outside the domain.
         self._sketch.update(item, count)
+        if self.domain is not None:
+            return
         # Candidate tracking via exact running counts: on insertion-only
         # streams an item's substream frequency is just its arrival count,
         # so a capped counter dict replaces the textbook query-per-update
@@ -385,11 +495,9 @@ class F2HeavyHitter(StreamingAlgorithm):
         vectorised.  New candidates are inserted in first-arrival order
         because pruning ties break by dict order.
         """
-        if self.domain is not None:
-            self._check_domain(int(items.min()), int(items.max()))
-            self._sketch.update_batch(items)
-            return
         self._sketch.update_batch(items)
+        if self.domain is not None:
+            return
         unique, first_seen, counts = _unique_grouped(items)
         new_items = sum(
             1 for item in unique.tolist() if item not in self._candidates
@@ -424,10 +532,8 @@ class F2HeavyHitter(StreamingAlgorithm):
                 "ingest_unique needs a domain-mode F2HeavyHitter (domain=...)"
             )
         self._check_open()
-        if len(unique):
-            self._check_domain(int(unique[0]), int(unique[-1]))
-        self._tokens_seen += total_len
         self._sketch.update_grouped(unique, counts)
+        self._tokens_seen += total_len
 
     def _replay_windows(self, items: np.ndarray) -> None:
         """Window-exact vectorised replay of the prune schedule.

@@ -102,14 +102,17 @@ def _f2_restore(data) -> F2Sketch:
 
 
 def _cs_state(sketch: CountSketch) -> dict:
-    return {
+    state = {
         "kind": "countsketch",
         "width": sketch.width,
         "depth": sketch.depth,
         "seed": int(sketch.seed),
-        "table": sketch._table,
+        "table": sketch.state_arrays()["table"],
         "tokens": sketch.tokens_seen,
     }
+    if sketch.domain is not None:
+        state["domain"] = sketch.domain
+    return state
 
 
 def _cs_restore(data) -> CountSketch:
@@ -117,6 +120,7 @@ def _cs_restore(data) -> CountSketch:
         width=int(data["width"]),
         depth=int(data["depth"]),
         seed=int(data["seed"]),
+        domain=int(data["domain"]) if "domain" in data else None,
     )
     sketch._load_state_arrays({"table": data["table"]})
     sketch._tokens_seen = int(data["tokens"])

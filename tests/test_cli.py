@@ -153,6 +153,12 @@ class TestBench:
         assert "tokens:" in out
         assert "throughput:" in out
         assert "construct_seconds:" in out
+        peak = [
+            line
+            for line in out.splitlines()
+            if line.startswith("peak_rss_mb:")
+        ]
+        assert len(peak) == 1 and float(peak[0].split()[1]) > 0
         assert "finalize_seconds:" in out
         assert "profile" not in out
 
@@ -163,6 +169,8 @@ class TestBench:
         out = capsys.readouterr().out
         assert "tokens:" in out
         assert "construct_seconds:" not in out
+        # The coordinator's RSS would leave the workers out.
+        assert "peak_rss_mb:" not in out
 
     def test_bench_profile_breakdown(self, stream_file, capsys):
         code = main(["bench", stream_file, "--k", "5", "--profile"])

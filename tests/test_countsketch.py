@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from repro.base import MergeIncompatibleError, StreamConsumedError
-from repro.engine.plan import EvalPlan
+from repro.sketch import countsketch
 from repro.sketch.countsketch import CountSketch, F2HeavyHitter
+from repro.sketch.serialize import dumps_state, loads_state
 
 
 class TestCountSketch:
@@ -70,19 +71,18 @@ class TestCountSketch:
             CountSketch(depth=0)
 
     @pytest.mark.parametrize("depth", (4, 5))
-    @pytest.mark.parametrize("tabulated", (False, True))
-    def test_query_many_matches_query(self, depth, tabulated):
-        """Bit-for-bit the scalar floats, hashed or read from the plan's
-        domain tables (even depth averages the two middle rows)."""
-        cs = CountSketch(width=16, depth=depth, seed=8)
+    @pytest.mark.parametrize("compact", (False, True))
+    def test_query_many_matches_query(self, depth, compact):
+        """Bit-for-bit the scalar floats, hashed or read from the compact
+        layout's slot tables (even depth averages the two middle rows)."""
+        cs = CountSketch(
+            width=16, depth=depth, seed=8, domain=200 if compact else None
+        )
         rng = np.random.default_rng(8)
         cs.update_batch(rng.integers(0, 200, size=3000))
-        if tabulated:
-            plan = EvalPlan(set_domain=200, elem_domain=1)
-            cs._register_plan(plan, plan.sets)
         ids = np.arange(200)
         many = cs.query_many(ids)
-        assert (cs._bucket_tables is not None) == tabulated
+        assert (cs._layout is not None) == compact
         scalar = np.array([cs.query(i) for i in ids.tolist()])
         assert many.dtype == np.float64
         assert many.tobytes() == scalar.tobytes()
@@ -247,4 +247,151 @@ class TestDomainMode:
         with pytest.raises(MergeIncompatibleError):
             F2HeavyHitter(0.1, seed=1, domain=200).merge(
                 F2HeavyHitter(0.1, seed=1)
+            )
+
+
+def _fed_pair(width: int, domain: int, stream_seed: int = 0):
+    """An open-domain and a domain-mode CountSketch with one seed, fed
+    one stream through ``update``, ``update_batch`` and
+    ``update_grouped``."""
+    sketches = (
+        CountSketch(width=width, depth=5, seed=11),
+        CountSketch(width=width, depth=5, seed=11, domain=domain),
+    )
+    rng = np.random.default_rng(stream_seed)
+    scalar = rng.integers(0, domain, size=40).tolist()
+    batch = rng.zipf(1.5, size=2000) % domain
+    weights = rng.integers(1, 9, size=2000)
+    grouped, sums = np.unique(
+        rng.integers(0, domain, size=500), return_counts=True
+    )
+    for sketch in sketches:
+        for item in scalar:
+            sketch.update(item, 3)
+        sketch.update_batch(batch, weights)
+        sketch.update_grouped(grouped, sums)
+    return sketches
+
+
+def _assert_same_sketch(reference, sketch, domain: int) -> None:
+    """Byte-equal state tables, queries and ``F_2`` estimates."""
+    expected = reference.state_arrays()["table"]
+    table = sketch.state_arrays()["table"]
+    assert table.dtype == expected.dtype and table.shape == expected.shape
+    assert table.tobytes() == expected.tobytes()
+    ids = np.arange(domain)
+    assert (
+        sketch.query_many(ids).tobytes() == reference.query_many(ids).tobytes()
+    )
+    for item in (0, 1, domain // 2, domain - 1):
+        assert sketch.query(item) == reference.query(item)
+    assert sketch.f2_estimate() == reference.f2_estimate()
+
+
+class TestCompactLayout:
+    """A domain-mode CountSketch holds ``(depth, min(domain, width))``
+    counters and answers exactly like the open-domain sketch."""
+
+    DOMAIN = 150
+
+    @pytest.mark.parametrize("width", (16, 150, 1024))
+    def test_matches_open_domain(self, width):
+        reference, compact = _fed_pair(width, self.DOMAIN)
+        assert compact._table.shape == (5, min(width, self.DOMAIN))
+        assert compact._table.any()
+        _assert_same_sketch(reference, compact, self.DOMAIN)
+
+    @pytest.mark.parametrize("width", (16, 1024))
+    def test_matches_after_merge(self, width):
+        reference, compact = _fed_pair(width, self.DOMAIN, stream_seed=1)
+        other_reference, other_compact = _fed_pair(
+            width, self.DOMAIN, stream_seed=2
+        )
+        reference.merge(other_reference)
+        compact.merge(other_compact)
+        _assert_same_sketch(reference, compact, self.DOMAIN)
+
+    @pytest.mark.parametrize("width", (16, 1024))
+    def test_matches_after_round_trip(self, width):
+        reference, compact = _fed_pair(width, self.DOMAIN)
+        restored = loads_state(
+            CountSketch(width=width, depth=5, seed=11, domain=self.DOMAIN),
+            dumps_state(compact),
+        )
+        assert restored._table.shape == compact._table.shape
+        _assert_same_sketch(reference, restored, self.DOMAIN)
+        # The restored sketch keeps streaming like the original.
+        for sketch in (reference, restored):
+            sketch.update_batch(np.arange(self.DOMAIN))
+        _assert_same_sketch(reference, restored, self.DOMAIN)
+
+    def test_f2_estimate_sums_the_full_row_past_2_53(self, monkeypatch):
+        """Once a row's sum of squares reaches 2^53 the float sum depends
+        on the summation order, so the compact sketch sums the row
+        scattered back to full width."""
+        width, domain = 64, 40
+        compact = CountSketch(width=width, depth=1, seed=3, domain=domain)
+        reached = np.unique(compact._cells()[2][0])
+        table = np.zeros((1, width), dtype=np.int64)
+        for big in reached.tolist():
+            table[0, reached] = 1
+            table[0, big] = 2**27
+            compact.load_state_arrays({"table": table, "tokens": 0})
+            squares = compact._table.astype(np.float64) ** 2
+            if squares.sum() != (table.astype(np.float64) ** 2).sum():
+                break
+        else:
+            pytest.fail("no table whose compact and full sums differ")
+        reference = CountSketch(width=width, depth=1, seed=3)
+        reference.load_state_arrays({"table": table, "tokens": 0})
+        assert compact.f2_estimate() == reference.f2_estimate()
+        # Summing the compact row alone would give another float.
+        monkeypatch.setattr(countsketch, "_EXACT_SUM", np.inf)
+        assert compact.f2_estimate() != reference.f2_estimate()
+
+    def test_above_cap_keeps_full_table(self, monkeypatch):
+        monkeypatch.setattr(countsketch, "TABLE_DOMAIN_CAP", self.DOMAIN - 1)
+        reference, capped = _fed_pair(1024, self.DOMAIN)
+        assert not capped._compact
+        assert capped._layout is None
+        assert capped._table.shape == (5, 1024)
+        _assert_same_sketch(reference, capped, self.DOMAIN)
+        with pytest.raises(ValueError, match=r"item 150 .*\[0, 150\)"):
+            capped.update(self.DOMAIN)
+
+
+class TestCompactGuards:
+    @pytest.mark.parametrize("bad", (-1, 50))
+    @pytest.mark.parametrize(
+        "entry",
+        ("update", "update_batch", "update_grouped", "query", "query_many"),
+    )
+    def test_out_of_domain_id_raises(self, entry, bad):
+        """Without the check a negative id would index the slot tables
+        from their end."""
+        sketch = CountSketch(width=64, depth=4, seed=1, domain=50)
+        items = np.array(sorted([3, bad, 7]), dtype=np.int64)
+        with pytest.raises(ValueError, match=rf"item {bad} .*\[0, 50\)"):
+            if entry == "update":
+                sketch.update(bad)
+            elif entry == "update_batch":
+                sketch.update_batch(items)
+            elif entry == "update_grouped":
+                sketch.update_grouped(items, np.ones(3, dtype=np.int64))
+            elif entry == "query":
+                sketch.query(bad)
+            else:
+                sketch.query_many(items)
+        assert not sketch._table.any()
+
+    def test_merge_rejects_other_domain(self):
+        # Domain 70 >= width 64: the compact table has the open table's
+        # shape, but its columns are slot numbers, not buckets.
+        with pytest.raises(MergeIncompatibleError):
+            CountSketch(64, 4, seed=1).merge(
+                CountSketch(64, 4, seed=1, domain=70)
+            )
+        with pytest.raises(MergeIncompatibleError):
+            CountSketch(64, 4, seed=1, domain=70).merge(
+                CountSketch(64, 4, seed=1, domain=80)
             )

@@ -10,17 +10,22 @@ exactly what the per-superset ``L0Sketch``, the per-level
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from repro import EdgeStream, StreamRunner
+from repro.core.estimate import EstimateMaxCover
 from repro.core.large_set import _L0_SIZE
 from repro.core.oracle import Oracle
 from repro.core.parameters import Parameters
 from repro.core.small_set import SmallSet
-from repro.engine.plan import EvalPlan
+from repro.sketch import countsketch
 from repro.sketch.contributing import F2Contributing
 from repro.sketch.l0 import L0Sketch
 from repro.sketch.serialize import dumps_state, loads_state
+from repro.streams.generators import planted_cover
 
 
 def _oracle_params(workload):
@@ -149,18 +154,38 @@ class TestStackedContributing:
 
     DOMAIN = 150
 
-    @pytest.mark.parametrize("planned", (False, True))
-    def test_table_and_tokens_equal_per_level_kernel(self, planned):
+    @pytest.mark.parametrize("compact", (False, True))
+    def test_table_and_tokens_equal_per_level_kernel(
+        self, compact, monkeypatch
+    ):
+        if not compact:
+            # Above the cap: full tables, every chunk hashed.
+            monkeypatch.setattr(
+                countsketch, "TABLE_DOMAIN_CAP", self.DOMAIN - 1
+            )
         stacked = F2Contributing(0.05, 40, seed=3, domain=self.DOMAIN)
         per_level = F2Contributing(0.05, 40, seed=3, domain=self.DOMAIN)
-        if planned:
-            plan = EvalPlan(self.DOMAIN, 10)
-            stacked._register_plan(plan, plan.sets)
+        gathers = []
+        level_rows = stacked._level_rows
+
+        def spy(unique):
+            gathers.append(unique)
+            return level_rows(unique)
+
+        monkeypatch.setattr(stacked, "_level_rows", spy)
         rng = np.random.default_rng(0)
-        for _ in range(6):
-            items = rng.integers(0, self.DOMAIN, size=int(rng.integers(1, 400)))
+        chunks = [
+            rng.integers(0, self.DOMAIN, size=int(rng.integers(1, 400)))
+            for _ in range(6)
+        ]
+        # A sparse and a dense chunk: the compact bank gathers the few
+        # present columns of one and applies every term for the other.
+        chunks += [np.array([5, 5, 140]), np.arange(self.DOMAIN)]
+        for items in chunks:
             unique, counts = np.unique(items, return_counts=True)
-            stacked.ingest_grouped(unique, counts, len(items))
+            stacked.ingest_grouped(
+                np.bincount(items, minlength=self.DOMAIN), len(items)
+            )
             keep = per_level._sampler_bank.contains_matrix(unique)
             for sketch, row in zip(per_level._sketches, keep):
                 if counts[row].sum():
@@ -168,7 +193,11 @@ class TestStackedContributing:
                         unique[row], counts[row], int(counts[row].sum())
                     )
         assert stacked.num_levels > 1
-        assert (stacked._flat_stack is not None) == planned
+        assert (stacked._layout is not None) == compact
+        if compact:
+            assert 0 < len(gathers) < len(chunks)
+        else:
+            assert len(gathers) == len(chunks)
         for mine, reference in zip(stacked._sketches, per_level._sketches):
             assert np.array_equal(mine._sketch._table, reference._sketch._table)
             assert mine.tokens_seen == reference.tokens_seen
@@ -184,6 +213,77 @@ class TestStackedContributing:
             assert np.array_equal(
                 target._tables[level], source._sketches[level]._sketch._table
             )
+
+
+def _arrays(obj, seen=None):
+    """Every ndarray reachable from ``obj`` through ``repro`` objects,
+    lists, tuples and dicts."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, (list, tuple)):
+        for item in obj:
+            yield from _arrays(item, seen)
+    elif isinstance(obj, dict):
+        for item in obj.values():
+            yield from _arrays(item, seen)
+    elif type(obj).__module__.startswith("repro") and hasattr(obj, "__dict__"):
+        for item in vars(obj).values():
+            yield from _arrays(item, seen)
+
+
+class TestCompactMemory:
+    """LargeSet's levels hold only the counters their domain reaches.
+
+    The ``--quick`` shape of the e2e ``reference`` workload: 330 levels
+    of width 256 or 6,400 over 100 superset ids.  Full tables would
+    hold 4,024,320 counters (32.2 MB); the compact ones hold 132,000.
+    """
+
+    #: ``space_words()`` of this pass when every level held its full
+    #: ``(depth, width)`` table: the charge must not move.
+    SPACE_WORDS = 4_216_722
+    HELD_COUNTERS = 132_000
+
+    def test_levels_hold_depth_times_domain(self):
+        planted = planted_cover(
+            n=1000, m=200, k=10, coverage_frac=0.9, seed=99
+        )
+        stream = EdgeStream.from_system(planted.system, order="random", seed=2)
+        tracemalloc.start()
+        try:
+            algo = EstimateMaxCover(m=200, n=1000, k=10, alpha=4, seed=7)
+            StreamRunner(chunk_size=4096).run(algo, stream)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        levels = [
+            heavy._sketch
+            for _z, _reducer, oracle in algo._branches
+            for run in oracle._large_set._runs
+            for detector in (run._cntr_small, run._cntr_large)
+            for heavy in detector._sketches
+        ]
+        held, full_bytes, full_shapes = 0, 0, set()
+        for sketch in levels:
+            assert sketch._table.shape == (
+                sketch.depth,
+                min(sketch.domain, sketch.width),
+            )
+            held += sketch._table.size
+            full_bytes += sketch.depth * sketch.width * sketch._table.itemsize
+            full_shapes.add((sketch.depth, sketch.width))
+        assert len(levels) == 330
+        assert held == self.HELD_COUNTERS
+        assert not any(a.shape in full_shapes for a in _arrays(algo))
+        # Construction and pass together never held what the full
+        # tables alone would take, even for a moment.
+        assert peak < full_bytes
+        assert algo.space_words() == self.SPACE_WORDS
+        assert algo.estimate() == 428.0
 
 
 class TestSmallSetLazyDedup:

@@ -52,6 +52,17 @@ class TestRoundTrip:
         for x in range(25):
             assert restored.query(x) == sketch.query(x)
 
+    def test_domain_countsketch(self, tmp_path):
+        sketch = CountSketch(width=64, depth=3, seed=5, domain=25)
+        sketch.update_batch(np.arange(500) % 25)
+        path = tmp_path / "cs.npz"
+        save_sketch(sketch, path)
+        restored = load_sketch(path)
+        assert restored.domain == 25
+        assert np.array_equal(restored._table, sketch._table)
+        for x in range(25):
+            assert restored.query(x) == sketch.query(x)
+
     def test_hyperloglog(self, tmp_path):
         sketch = HyperLogLog(precision=9, seed=5)
         sketch.process_batch(np.arange(3000))
@@ -122,6 +133,18 @@ class TestMalformedStateRejected:
         sketch = CountSketch(width=64, depth=4, seed=1)
         with pytest.raises(ValueError, match="CountSketch table"):
             sketch.load_state_arrays({"table": table, "tokens": 0})
+
+    def test_countsketch_unreachable_cell(self):
+        """A domain-mode sketch holds only the cells its domain reaches;
+        a nonzero counter anywhere else cannot come from its stream."""
+        sketch = CountSketch(width=64, depth=4, seed=1, domain=10)
+        table = np.zeros((4, 64), dtype=np.int64)
+        reached = sketch._cells()[2]
+        table[0, reached[0]] = 3
+        table[2, np.setdiff1d(np.arange(64), reached[2])[0]] = 5
+        with pytest.raises(ValueError, match="no coordinate"):
+            sketch.load_state_arrays({"table": table, "tokens": 0})
+        assert not sketch._table.any()
 
     def test_countsketch_loads_in_place(self):
         source = CountSketch(width=64, depth=4, seed=1)
