@@ -450,6 +450,9 @@ def _cmd_bench(args) -> int:
     stream = _load(args)
     if args.autotune:
         args.chunk_size = "auto"
+    # The class defaults (practical mode, z_base 2.0), as the e2e
+    # benchmark's factory builds it; ``repro estimate`` defaults to
+    # --z-base 4.0, half the branches.  The configuration is printed.
     factory = functools.partial(
         EstimateMaxCover,
         m=stream.m,
@@ -476,6 +479,11 @@ def _cmd_bench(args) -> int:
     start = time.perf_counter()
     estimate = algo.estimate()
     finalize_seconds = time.perf_counter() - start
+    # A trivial instance (k * alpha >= m) builds no branch and no guess.
+    z_guesses = getattr(algo, "z_guesses", [])
+    print(f"mode: {algo.params.mode}")
+    print(f"z_guesses: {' '.join(map(str, z_guesses))}")
+    print(f"branches: {len(z_guesses) * algo.repetitions}")
     print(f"tokens: {report.tokens}")
     print(f"seconds: {report.seconds:.3f}")
     if construct_seconds is not None:

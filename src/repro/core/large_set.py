@@ -99,14 +99,15 @@ class LargeSetRun(StreamingAlgorithm):
     (Figure 4): every element is inspected, which is the Section 4.2
     simplification valid when ``U^cmn_w`` is empty.
 
-    Ingest state is array-backed: each ``F2Contributing`` keeps its
-    levels' CountSketch tables in one stacked bank that holds only the
+    Ingest state is array-backed: each ``F2Contributing`` is a bank of
+    arrays, coefficients and one stacked counter table holding only the
     counters the superset domain reaches (``space_words`` still charges
-    the full tables), and the case-2b
-    ``L_0`` sketches of the sampled supersets are the rows of one
-    :class:`~repro.sketch.l0.KMVBank` (superset ``i`` hashes with seed
-    ``(l0_seed + i) & (2**63 - 1)``).  Both are linear or order-free, so
-    scalar, batched, planned and merged runs hold the same state.
+    the full tables), and the case-2b ``L_0`` sketches of the sampled
+    supersets are the rows of one :class:`~repro.sketch.l0.KMVBank`
+    (superset ``i`` hashes with seed ``(l0_seed + i) & (2**63 - 1)``).
+    Both are linear or order-free, so scalar, batched, planned and
+    merged runs hold the same state.  Finalisation scores each
+    detector's levels in one pass and reads only its top entry.
 
     Parameters
     ----------
@@ -386,22 +387,21 @@ class LargeSetRun(StreamingAlgorithm):
             if best is None or candidate.value_on_sample > best.value_on_sample:
                 best = candidate
 
-        for coord in self._cntr_small.peek_contributing():
-            if coord.frequency >= 0.5 * thr1:
+        # A detector's report is sorted by frequency, descending, and a
+        # value grows with the frequency, so its first entry is the only
+        # one that can win: the first of any tie, and if it misses the
+        # threshold every other entry does.
+        for detector, threshold, case in (
+            (self._cntr_small, thr1, "contributing-small"),
+            (self._cntr_large, thr2, "contributing-large"),
+        ):
+            top = detector.peek_top()
+            if top is not None and top.frequency >= 0.5 * threshold:
                 consider(
                     LargeSetOutcome(
-                        2.0 * coord.frequency / (3.0 * p.f),
-                        coord.coordinate,
-                        "contributing-small",
-                    )
-                )
-        for coord in self._cntr_large.peek_contributing():
-            if coord.frequency >= 0.5 * thr2:
-                consider(
-                    LargeSetOutcome(
-                        2.0 * coord.frequency / (3.0 * p.f),
-                        coord.coordinate,
-                        "contributing-large",
+                        2.0 * top.frequency / (3.0 * p.f),
+                        top.coordinate,
+                        case,
                     )
                 )
         # Rows ascend by superset id, so among equal values the

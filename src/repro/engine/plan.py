@@ -6,7 +6,7 @@ partitions and superset samplers, ``SmallSet`` edge samplers --
 independently evaluate k-wise polynomial hashes against the *same* two
 chunk columns.  (``LargeSet``'s contributing detectors lay out their
 CountSketch rows and level samplers over the superset domain
-themselves; see :class:`~repro.sketch.countsketch.CountSketch`.)  An
+themselves; see :class:`~repro.sketch.contributing.F2Contributing`.)  An
 :class:`EvalPlan` is built once per composite (lazily, at the first
 vectorised chunk) by walking that tree and registering every family
 that will ever be evaluated:

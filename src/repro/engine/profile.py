@@ -1,8 +1,9 @@
 """Opt-in per-kernel wall-clock accounting for the fused engine.
 
 ``repro bench --profile`` flips :data:`PROFILER` on for one measured
-pass and prints where the time went: k-wise hash evaluation, sketch
-scatter updates, distinct-element inserts, shard merging.  The
+pass and prints where the time went: k-wise hash evaluation, the
+contributing detectors' one-time layout builds, sketch scatter updates,
+distinct-element inserts, shard merging.  The
 categories are coarse by design -- they answer "which kernel family
 should the next perf PR attack", not "which line".
 

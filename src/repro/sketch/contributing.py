@@ -13,20 +13,29 @@ each guess ``n_t = 2^i`` of a contributing class's size, subsample the
 coordinate domain at rate ``Theta(log m) / 2^i`` with a
 ``Theta(log mn)``-wise independent hash, so ``Theta(log m)`` class members
 survive; by Lemma 2.9 each survivor is an ``Omega~(gamma)``-heavy hitter
-of the sampled substream, so a :class:`~repro.sketch.countsketch.F2HeavyHitter`
-run on the substream finds it.  Because every update to a coordinate
-survives or dies together, a survivor's frequency in the substream equals
-its true frequency.
+of the sampled substream, so a Theorem 2.10 heavy-hitter sketch run on
+the substream finds it.  Because every update to a coordinate survives
+or dies together, a survivor's frequency in the substream equals its
+true frequency.
 
-Over a known coordinate domain every level's CountSketch has the same
-shape, so the levels' tables are slices of one ``(levels, depth,
-min(domain, width))`` bank (each level holds only the counters its
-domain reaches; see :class:`~repro.sketch.countsketch.CountSketch`).
-The cell and sign of every surviving ``(level, row, coordinate)`` are
-worked out once, so a chunk's whole-domain id counts
-(:meth:`F2Contributing.ingest_grouped`) update every level with one
-scatter.  CountSketch is linear, so the bank equals the per-level
-updates bit for bit.
+Over a known coordinate domain (``LargeSet``'s superset ids) the levels
+are arrays and nothing else: the samplers' hash coefficients, the
+CountSketch rows' bucket and sign coefficients, one ``(levels, depth,
+min(domain, width))`` counter bank holding only the counters the domain
+reaches, and the levels' token counts.  Every level's sampler, bucket
+and sign hash is the one a standalone
+:class:`~repro.sketch.hashing.SampledSet` and
+:class:`~repro.sketch.countsketch.F2HeavyHitter` with the level's seed
+would draw, and the seeds come from the same generators, derived in
+bulk inside a :func:`~repro.sketch.hashing.coefficient_batch`.  The
+cell and sign of every ``(level, row, coordinate)`` are worked out
+once, at the first chunk, load or score, so a chunk's whole-domain id
+counts (:meth:`F2Contributing.ingest_grouped`) update every level with
+one scatter, and finalisation scores every level and coordinate with
+one gather and one median.  CountSketch is linear, so the bank equals
+the per-level sketches bit for bit: state, merges, reports and
+``space_words`` included.  Without a domain each level keeps its own
+``F2HeavyHitter`` with an online candidate pool.
 """
 
 from __future__ import annotations
@@ -38,15 +47,31 @@ import numpy as np
 from repro.base import (
     MergeIncompatibleError,
     StreamingAlgorithm,
+    check_positive_int,
     pack_state,
     unpack_state,
 )
+from repro.engine.plan import TABLE_DOMAIN_CAP
 from repro.engine.profile import PROFILER
-from repro.sketch.countsketch import F2HeavyHitter, number_buckets, sign_table
+from repro.sketch.countsketch import (
+    REPORT_SLACK,
+    ROW_DEGREE,
+    F2HeavyHitter,
+    check_items,
+    check_table,
+    compact_rows,
+    expand_rows,
+    heavy_hitter_width,
+    number_buckets,
+    sign_table,
+    squared_norms,
+)
 from repro.sketch.hashing import (
-    KWiseHashBank,
+    DeferredCoefficients,
     SampledSet,
     SampledSetBank,
+    defer_coefficients,
+    eval_rows,
     same_sampled_set,
 )
 
@@ -59,6 +84,9 @@ __all__ = ["ContributingCoordinate", "F2Contributing"]
 #: chunk: 170 of 200 coordinates present, 16 us for the terms against
 #: 64 us for the gather; 26 of 1,000 present, 84 us against 28 us.
 _DENSE_SHARE = 4
+
+#: Independence degree of the level samplers.
+_SAMPLER_DEGREE = 16
 
 
 @dataclass(frozen=True)
@@ -80,7 +108,7 @@ class ContributingCoordinate:
     level: int
 
 
-class F2Contributing(StreamingAlgorithm):
+class F2Contributing(DeferredCoefficients, StreamingAlgorithm):
     """Single-pass detector of gamma-contributing classes (Theorem 2.11).
 
     Parameters
@@ -93,7 +121,10 @@ class F2Contributing(StreamingAlgorithm):
         exploits this cap to keep common elements from polluting the
         output (Remark 4.12).
     seed:
-        Randomness for subsampling hashes and sketches.
+        Randomness for subsampling hashes and sketches: the levels'
+        sampler and heavy-hitter seeds are
+        ``default_rng(seed).integers(0, 2**63, size=2 * levels)``,
+        alternating.
     phi_scale:
         Heavy-hitter threshold is ``gamma / phi_scale``; the paper uses a
         ``polylog(m, n)`` scale (``432 log n log^{c+1} m``), we default to
@@ -105,15 +136,17 @@ class F2Contributing(StreamingAlgorithm):
         CountSketch depth of every level's heavy-hitter sketch.
     domain:
         Size of the coordinate space when the caller knows it (the
-        ``LargeSet`` superset ids), forwarded to every level's
-        :class:`~repro.sketch.countsketch.F2HeavyHitter`: the levels then
-        hold CountSketch tables only and score the whole domain at
-        finalise.  Those tables are views of one stacked ``(levels,
-        depth, min(domain, width))`` bank that :meth:`ingest_grouped`
-        updates in a single scatter; above ``TABLE_DOMAIN_CAP`` the
-        bank is ``(levels, depth, width)`` and every chunk is hashed.
-        ``None`` keeps an online candidate pool per level.
+        ``LargeSet`` superset ids).  The levels are then one array bank
+        (see the module docstring) that holds only the counters the
+        domain reaches, updated by :meth:`ingest_grouped` in a single
+        scatter and scored whole at finalise; above
+        ``TABLE_DOMAIN_CAP`` the bank holds full ``(depth, width)``
+        tables and every chunk is hashed.  ``None`` keeps a
+        :class:`~repro.sketch.countsketch.F2HeavyHitter` with an online
+        candidate pool per level.
     """
+
+    _FILLED = ("_sampler_coeffs", "_row_coeffs")
 
     def __init__(
         self,
@@ -132,79 +165,121 @@ class F2Contributing(StreamingAlgorithm):
             raise ValueError(
                 f"max_class_size must be >= 1, got {max_class_size}"
             )
+        if depth < 1:
+            raise ValueError(f"depth must be >= 1, got {depth}")
         self.gamma = float(gamma)
         self.max_class_size = int(max_class_size)
         self.num_levels = int(np.ceil(np.log2(max(2, max_class_size)))) + 1
-        phi = min(1.0, gamma / phi_scale)
-        rng = np.random.default_rng(seed)
-        self._samplers: list[SampledSet] = []
-        self._sketches: list[F2HeavyHitter] = []
-        for level in range(self.num_levels):
-            rate = max(1.0, (1 << level) / survivors)
-            self._samplers.append(
-                SampledSet(rate, seed=rng.integers(0, 2**63))
-            )
-            self._sketches.append(
-                F2HeavyHitter(
-                    phi,
-                    depth=depth,
-                    seed=rng.integers(0, 2**63),
-                    domain=domain,
-                )
-            )
-        # One stacked hash pass classifies a chunk for every level.
-        self._sampler_bank = SampledSetBank(self._samplers)
-        self.domain = self._sketches[0].domain
-        self._depth = depth
-        self._tables = None
-        self._compact = False
-        # Compact mode's stacked tables (see _layout_tables and
-        # _ingest_tables); built at first use.
+        self.phi = min(1.0, gamma / phi_scale)
+        self.depth = int(depth)
+        self.domain = (
+            None if domain is None else check_positive_int("domain", domain)
+        )
+        rates = [
+            max(1.0, (1 << level) / survivors)
+            for level in range(self.num_levels)
+        ]
+        seeds = np.random.default_rng(seed).integers(
+            0, 2**63, size=2 * self.num_levels
+        )
+        if self.domain is None:
+            self._samplers = [
+                SampledSet(rate, degree=_SAMPLER_DEGREE, seed=sampler_seed)
+                for rate, sampler_seed in zip(rates, seeds[0::2])
+            ]
+            self._sketches = [
+                F2HeavyHitter(self.phi, depth=depth, seed=sketch_seed)
+                for sketch_seed in seeds[1::2]
+            ]
+            # One stacked hash pass classifies a chunk for every level.
+            self._sampler_bank = SampledSetBank(self._samplers)
+            return
+        self.width = heavy_hitter_width(self.phi)
+        self._sampler_buckets = np.asarray(
+            [SampledSet.buckets_for(rate) for rate in rates], dtype=np.int64
+        )
+        self._compact = self.domain <= TABLE_DOMAIN_CAP
+        columns = min(self.domain, self.width) if self._compact else self.width
+        self._tables = np.zeros(
+            (self.num_levels, self.depth, columns), dtype=np.int64
+        )
+        self._level_tokens = np.zeros(self.num_levels, dtype=np.int64)
+        # Compact mode's layout and ingest tables; built at first use,
+        # since the coefficients may still wait in a batch.
         self._layout = None
         self._ingest = None
-        if domain is not None:
-            # Every level's table is a view of its slice of one bank.
-            counters = [sketch._sketch for sketch in self._sketches]
-            self._compact = counters[0]._compact
-            self._tables = np.zeros(
-                (self.num_levels,) + counters[0]._table.shape, dtype=np.int64
+        # Level l's sampler hashes with seed seeds[2l]; its CountSketch
+        # rows with the 2 * depth draws of seeds[2l + 1]: buckets first,
+        # then signs, as CountSketch draws them.
+        defer_coefficients(
+            self,
+            (seeds[0::2].tolist(), _SAMPLER_DEGREE),
+            (seeds[1::2].tolist(), ROW_DEGREE, 2 * self.depth),
+        )
+
+    def _fill(self, sampler_coeffs, row_coeffs) -> None:
+        """Adopt the ``(levels, 16)`` sampler and ``(levels * 2 * depth,
+        4)`` row coefficient blocks drawn for the seeds."""
+        self._sampler_coeffs = sampler_coeffs
+        self._row_coeffs = row_coeffs
+
+    # -- the domain-mode bank -------------------------------------------
+
+    def _row_values(self, items):
+        """``(buckets, signs)``, both ``(levels * depth, len(items))``,
+        level-major: every CountSketch row's bucket and ``+-1`` sign of
+        ``items``, from one Horner pass."""
+        depth, levels = self.depth, self.num_levels
+        ranges = np.tile(np.repeat([self.width, 2], depth), levels)
+        values = eval_rows(self._row_coeffs, ranges[:, None], items)
+        values = values.reshape(levels, 2, depth, len(items))
+        rows = levels * depth
+        return (
+            values[:, 0].reshape(rows, len(items)),
+            sign_table(values[:, 1].reshape(rows, len(items))),
+        )
+
+    def _keep(self, items):
+        """``(levels, len(items))``: whether each level samples each item.
+        Rate-1 levels keep every item without hashing."""
+        keep = np.ones((self.num_levels, len(items)), dtype=bool)
+        hashed = self._sampler_buckets > 1
+        if hashed.any():
+            keep[hashed] = (
+                eval_rows(
+                    self._sampler_coeffs[hashed],
+                    self._sampler_buckets[hashed, None],
+                    items,
+                )
+                == 0
             )
-            for counter, table in zip(counters, self._tables):
-                counter._table = table
+        return keep
 
     def _layout_tables(self):
-        """``(slots, signs)``, both ``(levels * depth, domain)``,
+        """``(slots, signs, buckets)``, all ``(levels * depth, domain)``,
         level-major: every CountSketch row's column in its level's
-        compact table, and its ``+-1`` sign.
+        compact table (int32), its ``+-1`` sign (int8) and its bucket in
+        the full row (int32).
 
-        Built once, from one pass each of the stacked bucket and sign
-        banks over the whole domain, which also hands each level's
-        CountSketch its slot, sign and bucket rows.  A state load needs
-        only these; :meth:`_ingest_tables` adds what a chunk needs.
+        Built once, from one Horner pass over the whole domain.  A
+        state load, a state write and a score need only these;
+        :meth:`_ingest_tables` adds what a chunk needs.
         """
         if self._layout is None:
-            depth = self._depth
-            counters = [sketch._sketch for sketch in self._sketches]
-            items = np.arange(self.domain, dtype=np.int64)
-            buckets = KWiseHashBank(
-                [h for c in counters for h in c._bucket_hashes]
-            ).eval_many(items)
-            slots = number_buckets(buckets, counters[0].width)
-            buckets = buckets.astype(np.int32)
-            signs = sign_table(
-                KWiseHashBank(
-                    [s._hash for c in counters for s in c._sign_hashes]
-                ).eval_many(items)
+            t0 = PROFILER.clock() if PROFILER.enabled else 0.0
+            buckets, signs = self._row_values(np.arange(self.domain))
+            self._layout = (
+                number_buckets(buckets, self.width),
+                signs,
+                buckets.astype(np.int32),
             )
-            for level, counter in enumerate(counters):
-                rows = slice(level * depth, (level + 1) * depth)
-                counter._layout = (slots[rows], signs[rows], buckets[rows])
-            self._layout = (slots, signs)
+            if PROFILER.enabled:
+                PROFILER.add("layout", PROFILER.clock() - t0)
         return self._layout
 
     def _ingest_tables(self):
-        """``(signed, terms)``, built once from one pass of the stacked
-        level samplers over the whole domain.
+        """``(signed, terms)``, built once from one pass of the level
+        samplers over the whole domain.
 
         ``signed`` is the ``(levels * depth, domain)`` sign table with
         0 where the row's level does not sample the coordinate.
@@ -214,10 +289,11 @@ class F2Contributing(StreamingAlgorithm):
         domain)`` survivor table.
         """
         if self._ingest is None:
-            slots, signs = self._layout_tables()
+            slots, signs, _buckets = self._layout_tables()
+            t0 = PROFILER.clock() if PROFILER.enabled else 0.0
             items = np.arange(self.domain, dtype=np.int64)
-            keep = self._sampler_bank.contains_matrix(items)
-            kept = np.repeat(keep, self._depth, axis=0)
+            keep = self._keep(items)
+            kept = np.repeat(keep, self.depth, axis=0)
             offsets = np.arange(len(slots)) * self._tables.shape[2]
             terms = (
                 (slots + offsets[:, None])[kept],
@@ -226,6 +302,8 @@ class F2Contributing(StreamingAlgorithm):
                 keep,
             )
             self._ingest = (signs * kept, terms)
+            if PROFILER.enabled:
+                PROFILER.add("layout", PROFILER.clock() - t0)
         return self._ingest
 
     def _level_rows(self, unique):
@@ -233,21 +311,96 @@ class F2Contributing(StreamingAlgorithm):
         each CountSketch row's flat bank index for ``unique``, and its
         ``+-1`` sign where the row's level samples the item, 0 where not.
 
-        Gathered from the compact layout; above the cap, each level's
-        CountSketch hashes ``unique``.
+        Gathered from the compact layout; above the cap, hashed.
         """
         if self._compact:
             slots = self._layout_tables()[0]
             signed = self._ingest_tables()[0]
             columns, signed = slots[:, unique], signed[:, unique]
         else:
-            rows = [sketch._sketch._rows(unique) for sketch in self._sketches]
-            keep = self._sampler_bank.contains_matrix(unique)
-            columns = np.concatenate([buckets for buckets, _signs in rows])
-            signed = np.concatenate([signs for _buckets, signs in rows])
-            signed = signed * np.repeat(keep, self._depth, axis=0)
+            columns, signs = self._row_values(unique)
+            signed = signs * np.repeat(self._keep(unique), self.depth, axis=0)
         offsets = np.arange(len(columns)) * self._tables.shape[2]
         return columns + offsets[:, None], signed
+
+    def _full_tables(self):
+        """The ``(levels, depth, width)`` tables the per-level sketches
+        would ship: the bank itself above the cap, else one scatter."""
+        if not self._compact:
+            return self._tables
+        slots, _signs, buckets = self._layout_tables()
+        rows = self.num_levels * self.depth
+        full = expand_rows(
+            self._tables.reshape(rows, -1), slots, buckets, self.width
+        )
+        return full.reshape(self.num_levels, self.depth, self.width)
+
+    def _scatter_counts(self, counts) -> None:
+        """Add ``counts[i]`` arrivals of every coordinate ``i`` to every
+        level that samples it."""
+        unique = np.flatnonzero(counts)
+        if self._compact and len(unique) * _DENSE_SHARE >= self.domain:
+            # Every precomputed term; absent coordinates add 0.
+            cells, items, signs, keep = self._ingest_tables()[1]
+            values = signs * counts[items]
+            totals = keep @ counts
+        else:
+            flat, signed = self._level_rows(unique)
+            signed_counts = signed * counts[unique]
+            cells, values = flat.ravel(), signed_counts.ravel()
+            # A level's first row holds +-count where it keeps an item.
+            totals = np.abs(signed_counts[:: self.depth]).sum(axis=1)
+        self._level_tokens += totals
+        profiling = PROFILER.enabled
+        t0 = PROFILER.clock() if profiling else 0.0
+        np.add.at(self._tables.reshape(-1), cells, values)
+        if profiling:
+            PROFILER.add("scatter", PROFILER.clock() - t0)
+
+    def _level_reports(self):
+        """``(estimates, heavy)``, both ``(levels, domain)``: every
+        level's estimate of every coordinate, and whether the level's
+        ``F2HeavyHitter.peek_heavy_hitters`` would report it.
+
+        Each level's ``F_2`` estimate is the median of its row norms and
+        its report threshold ``slack * sqrt(phi * F_2)``, as in
+        :meth:`~repro.sketch.countsketch.F2HeavyHitter.peek_heavy_hitters`;
+        one gather and one median over the rows estimate every
+        coordinate at every level.
+        """
+        levels, depth = self.num_levels, self.depth
+        rows = levels * depth
+        if self._compact:
+            slots, signs, _buckets = self._layout_tables()
+            full = self._full_tables
+        else:
+            slots, signs = self._row_values(np.arange(self.domain))
+            full = None
+        f2 = np.median(squared_norms(self._tables, full), axis=1)
+        threshold = REPORT_SLACK * np.sqrt(self.phi * f2)
+        counters = self._tables.reshape(rows, -1)[
+            np.arange(rows)[:, None], slots
+        ]
+        estimates = np.median(
+            (signs * counters).reshape(levels, depth, self.domain), axis=1
+        )
+        heavy = (estimates >= threshold[:, None]) & (f2 > 0)[:, None]
+        return estimates, heavy
+
+    def _scores(self):
+        """``(coordinates, frequencies, levels)``: :meth:`peek_contributing`
+        as arrays, in its order.  A coordinate reports its largest heavy
+        estimate, from the first level that reaches it."""
+        estimates, heavy = self._level_reports()
+        coordinates = np.flatnonzero(heavy.any(axis=0))
+        heavy = heavy[:, coordinates]
+        scored = np.where(heavy, estimates[:, coordinates], -np.inf)
+        best = scored.argmax(axis=0)
+        frequencies = scored[best, np.arange(len(coordinates))]
+        order = np.lexsort((coordinates, heavy.argmax(axis=0), -frequencies))
+        return coordinates[order], frequencies[order], best[order]
+
+    # -- updates -----------------------------------------------------------
 
     def ingest_grouped(self, counts, total_len) -> None:
         """Domain-mode kernel over a chunk's whole-domain id counts.
@@ -255,14 +408,13 @@ class F2Contributing(StreamingAlgorithm):
         The caller (``LargeSetRun``) counts a chunk of ``total_len``
         coordinates once: ``counts[i]`` arrivals of coordinate ``i``,
         one entry per coordinate of the domain.  Every level's update
-        is then one term of a single scatter into the stacked bank:
-        level ``l`` adds ``sign * count`` at its cells for the present
-        coordinates it samples, and advances its token count by their
-        arrivals.  Bit-identical to per-level
-        ``F2HeavyHitter.ingest_unique`` calls and to ``process_batch``
-        on the raw ids.
+        is then one term of a single scatter into the bank: level ``l``
+        adds ``sign * count`` at its cells for the present coordinates
+        it samples, and advances its token count by their arrivals.
+        Bit-identical to per-level ``F2HeavyHitter.ingest_unique``
+        calls and to ``process_batch`` on the raw ids.
         """
-        if self._tables is None:
+        if self.domain is None:
             raise TypeError(
                 "ingest_grouped needs a domain-mode F2Contributing "
                 "(domain=...)"
@@ -275,40 +427,32 @@ class F2Contributing(StreamingAlgorithm):
                 f"[0, {self.domain}), got {len(counts)}"
             )
         self._tokens_seen += total_len
-        unique = np.flatnonzero(counts)
-        if self._compact and len(unique) * _DENSE_SHARE >= self.domain:
-            # Every precomputed term; absent coordinates add 0.
-            cells, items, signs, keep = self._ingest_tables()[1]
-            values = signs * counts[items]
-            totals = keep @ counts
-        else:
-            flat, signed = self._level_rows(unique)
-            signed_counts = signed * counts[unique]
-            cells, values = flat.ravel(), signed_counts.ravel()
-            # A level's first row holds +-count where it keeps an item.
-            totals = np.abs(signed_counts[:: self._depth]).sum(axis=1)
-        for sketch, total in zip(self._sketches, totals.tolist()):
-            if total:
-                sketch._check_open()
-                sketch._tokens_seen += total
-        profiling = PROFILER.enabled
-        t0 = PROFILER.clock() if profiling else 0.0
-        np.add.at(self._tables.reshape(-1), cells, values)
-        if profiling:
-            PROFILER.add("scatter", PROFILER.clock() - t0)
+        self._scatter_counts(counts)
 
     def _process(self, item, count: int = 1) -> None:
         item = int(item)
-        for level in range(self.num_levels):
-            if self._samplers[level].contains(item):
-                self._sketches[level].process(item, count)
+        if self.domain is None:
+            for level in range(self.num_levels):
+                if self._samplers[level].contains(item):
+                    self._sketches[level].process(item, count)
+            return
+        check_items(item, item, self.domain)
+        counts = np.zeros(self.domain, dtype=np.int64)
+        counts[item] = count
+        self._scatter_counts(counts)
 
     def _process_batch(self, items: np.ndarray) -> None:
-        masks = self._sampler_bank.contains_matrix(items)
-        for sketch, mask in zip(self._sketches, masks):
-            survivors = items[mask]
-            if len(survivors):
-                sketch.process_batch(survivors)
+        if self.domain is None:
+            masks = self._sampler_bank.contains_matrix(items)
+            for sketch, mask in zip(self._sketches, masks):
+                survivors = items[mask]
+                if len(survivors):
+                    sketch.process_batch(survivors)
+            return
+        check_items(int(items.min()), int(items.max()), self.domain)
+        self._scatter_counts(np.bincount(items, minlength=self.domain))
+
+    # -- queries -----------------------------------------------------------
 
     def contributing(self) -> list[ContributingCoordinate]:
         """Finalise and return one-or-more coordinates per contributing class.
@@ -323,7 +467,19 @@ class F2Contributing(StreamingAlgorithm):
         return self.peek_contributing()
 
     def peek_contributing(self) -> list[ContributingCoordinate]:
-        """Mid-stream snapshot of :meth:`contributing` (no finalise)."""
+        """Mid-stream snapshot of :meth:`contributing` (no finalise).
+
+        Frequency descending; ties keep the order in which the levels
+        first report their coordinates (in domain mode: by that first
+        level, then by coordinate).
+        """
+        if self.domain is not None:
+            return [
+                ContributingCoordinate(coordinate, frequency, level)
+                for coordinate, frequency, level in zip(
+                    *(array.tolist() for array in self._scores())
+                )
+            ]
         best: dict[int, ContributingCoordinate] = {}
         for level, sketch in enumerate(self._sketches):
             for coordinate, frequency in sketch.peek_heavy_hitters().items():
@@ -338,16 +494,47 @@ class F2Contributing(StreamingAlgorithm):
             best.values(), key=lambda c: c.frequency, reverse=True
         )
 
+    def peek_top(self) -> ContributingCoordinate | None:
+        """The first entry of :meth:`peek_contributing`, ``None`` when
+        it is empty."""
+        if self.domain is None:
+            found = self.peek_contributing()
+            return found[0] if found else None
+        coordinates, frequencies, levels = self._scores()
+        if not len(coordinates):
+            return None
+        return ContributingCoordinate(
+            int(coordinates[0]), float(frequencies[0]), int(levels[0])
+        )
+
+    # -- merging / state ---------------------------------------------------
+
     def _require_mergeable(self, other: "F2Contributing") -> None:
-        if (
-            other.gamma != self.gamma
-            or other.max_class_size != self.max_class_size
-            or other.num_levels != self.num_levels
-            or any(
-                not same_sampled_set(mine, theirs)
+        same = (
+            other.gamma == self.gamma
+            and other.max_class_size == self.max_class_size
+            and other.num_levels == self.num_levels
+            and other.domain == self.domain
+        )
+        if same and self.domain is None:
+            same = all(
+                same_sampled_set(mine, theirs)
                 for mine, theirs in zip(self._samplers, other._samplers)
             )
-        ):
+        elif same:
+            same = (
+                other.phi == self.phi
+                and other.width == self.width
+                and other.depth == self.depth
+                and np.array_equal(
+                    other._sampler_buckets, self._sampler_buckets
+                )
+                and np.array_equal(
+                    other._sampler_coeffs, self._sampler_coeffs
+                )
+                and np.array_equal(other._row_coeffs, self._row_coeffs)
+            )
+        if not same:
             raise MergeIncompatibleError(
                 "can only merge F2Contributing instances with identical "
                 "seed, gamma, and class-size cap"
@@ -357,24 +544,74 @@ class F2Contributing(StreamingAlgorithm):
         # Same level samplers => each level's heavy-hitter sketches saw
         # the same substream partition; merging them per level is the
         # whole merge (the samplers themselves are stateless hashes).
+        # Equal coefficients give equal layouts, so banks add.
+        if self.domain is not None:
+            self._tables += other._tables
+            self._level_tokens += other._level_tokens
+            return
         for mine, theirs in zip(self._sketches, other._sketches):
             mine.merge(theirs)
 
     def _state_arrays(self) -> dict:
+        """Per level, what its ``F2HeavyHitter`` would ship: the full
+        ``(depth, width)`` table, the CountSketch's token count (always
+        0, since the level counts the tokens; a load ignores it) and the
+        level's."""
         state: dict = {}
-        for level, sketch in enumerate(self._sketches):
-            pack_state(state, f"levels/{level}", sketch.state_arrays())
+        if self.domain is None:
+            for level, sketch in enumerate(self._sketches):
+                pack_state(state, f"levels/{level}", sketch.state_arrays())
+            return state
+        tables = self._full_tables()
+        for level, tokens in enumerate(self._level_tokens.tolist()):
+            state[f"levels/{level}/sketch/table"] = tables[level]
+            state[f"levels/{level}/sketch/tokens"] = np.asarray(
+                0, dtype=np.int64
+            )
+            state[f"levels/{level}/tokens"] = np.asarray(
+                tokens, dtype=np.int64
+            )
         return state
 
     def _load_state_arrays(self, state: dict) -> None:
+        if self.domain is None:
+            for level, sketch in enumerate(self._sketches):
+                level_state = unpack_state(state, f"levels/{level}")
+                sketch.load_state_arrays(level_state)
+            return
+        levels, depth, width = self.num_levels, self.depth, self.width
+        tables = np.empty((levels, depth, width), dtype=np.int64)
+        for level in range(levels):
+            tables[level] = check_table(
+                state[f"levels/{level}/sketch/table"], (depth, width)
+            )
+        tokens = [
+            int(state[f"levels/{level}/tokens"]) for level in range(levels)
+        ]
         if self._compact:
-            # One stacked pass lays out every level before the loads.
-            self._layout_tables()
-        for level, sketch in enumerate(self._sketches):
-            sketch.load_state_arrays(unpack_state(state, f"levels/{level}"))
+            slots, _signs, buckets = self._layout_tables()
+            tables = compact_rows(
+                tables.reshape(levels * depth, width),
+                slots,
+                buckets,
+                self._tables.shape[2],
+                self.domain,
+            ).reshape(self._tables.shape)
+        self._tables[...] = tables
+        self._level_tokens[:] = tokens
 
     def space_words(self) -> int:
-        total = 0
-        for sampler, sketch in zip(self._samplers, self._sketches):
-            total += sampler.space_words() + sketch.space_words()
-        return total
+        if self.domain is None:
+            return sum(
+                sampler.space_words() + sketch.space_words()
+                for sampler, sketch in zip(self._samplers, self._sketches)
+            )
+        # Per level: the sampler's coefficients and bucket count, the
+        # charged (depth, width) table and every row's two hashes.
+        per_level = (
+            _SAMPLER_DEGREE
+            + 1
+            + self.depth * self.width
+            + 2 * self.depth * ROW_DEGREE
+        )
+        return self.num_levels * per_level

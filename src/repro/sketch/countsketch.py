@@ -50,6 +50,13 @@ _BINCOUNT_FACTOR = 16
 #: ``f2_estimate`` bit for bit.
 _EXACT_SUM = 2.0**53
 
+#: Independence degree of every bucket and sign hash (Charikar et al.
+#: need 4-wise independence).
+ROW_DEGREE = 4
+
+#: :class:`F2HeavyHitter`'s default report margin.
+REPORT_SLACK = 0.5
+
 
 def _unique_grouped(items):
     """``(unique, first_pos, counts)``: sorted unique values, the index
@@ -66,6 +73,80 @@ def sign_table(bits):
     signs *= 2
     signs -= 1
     return signs
+
+
+def heavy_hitter_width(phi: float) -> int:
+    """CountSketch width of a ``phi``-heavy-hitter sketch: ``O(1/phi)``
+    makes a ``phi``-heavy coordinate dominate its bucket."""
+    return max(8, int(np.ceil(8.0 / phi)))
+
+
+def squared_norms(tables, full_tables=None):
+    """Each row's sum of squared counters, as float64: ``(..., depth)``
+    from ``(..., depth, columns)`` tables.
+
+    Integer sums below ``2^53`` are exact whatever the summation order,
+    so compact and full tables give the same sums there.  Rows at or
+    above that bound are summed over ``full_tables()`` instead, when
+    the tables are compact.
+    """
+    sums = (tables.astype(np.float64) ** 2).sum(axis=-1)
+    if full_tables is not None and sums.max(initial=0.0) >= _EXACT_SUM:
+        large = sums >= _EXACT_SUM
+        sums[large] = (full_tables().astype(np.float64) ** 2).sum(axis=-1)[
+            large
+        ]
+    return sums
+
+
+def check_items(low: int, high: int, domain: int) -> None:
+    """Raise ``ValueError`` unless ``low..high`` lies in ``[0, domain)``."""
+    if low < 0 or high >= domain:
+        item = low if low < 0 else high
+        raise ValueError(
+            f"item {item} is outside the CountSketch domain [0, {domain})"
+        )
+
+
+def check_table(table, shape):
+    """``table`` as an array, provided it is an integer array of
+    ``shape``; raises ``ValueError`` otherwise."""
+    table = np.asarray(table)
+    if table.shape != shape or table.dtype.kind not in "iu":
+        raise ValueError(
+            f"CountSketch table must be a {shape} integer "
+            f"array, got {table.dtype} {table.shape}"
+        )
+    return table
+
+
+def expand_rows(compact, slots, buckets, width: int):
+    """The ``(rows, width)`` table that the compact ``(rows, columns)``
+    table stands for: row ``r``'s counter at slot ``slots[r, x]`` goes
+    back to bucket ``buckets[r, x]``, for every coordinate ``x``."""
+    rows = np.arange(len(compact))[:, None]
+    full = np.zeros((len(compact), width), dtype=np.int64)
+    full[rows, buckets] = compact[rows, slots]
+    return full
+
+
+def compact_rows(full, slots, buckets, columns: int, domain: int):
+    """The inverse of :func:`expand_rows`: the ``(rows, columns)``
+    compact table of a ``(rows, width)`` one.
+
+    Raises ``ValueError`` when a counter no coordinate of ``[0,
+    domain)`` reaches is nonzero.  The compact table holds each
+    reachable cell once, so it has fewer nonzeros exactly then.
+    """
+    rows = np.arange(len(full))[:, None]
+    compact = np.zeros((len(full), columns), dtype=np.int64)
+    compact[rows, slots] = full[rows, buckets]
+    if np.count_nonzero(compact) != np.count_nonzero(full):
+        raise ValueError(
+            "CountSketch table has a nonzero counter in a cell that "
+            f"no coordinate of the domain [0, {domain}) reaches"
+        )
+    return compact
 
 
 def number_buckets(buckets, width: int):
@@ -138,11 +219,14 @@ class CountSketch(StreamingAlgorithm):
         )
         rng = np.random.default_rng(seed)
         self._bucket_hashes = [
-            KWiseHash(self.width, degree=4, seed=rng.integers(0, 2**63))
+            KWiseHash(
+                self.width, degree=ROW_DEGREE, seed=rng.integers(0, 2**63)
+            )
             for _ in range(self.depth)
         ]
         self._sign_hashes = [
-            SignHash(seed=rng.integers(0, 2**63)) for _ in range(self.depth)
+            SignHash(degree=ROW_DEGREE, seed=rng.integers(0, 2**63))
+            for _ in range(self.depth)
         ]
         # Rows stacked into banks: one Horner pass per batch hashes a
         # chunk for every row at once.
@@ -178,15 +262,6 @@ class CountSketch(StreamingAlgorithm):
             )
         return self._layout
 
-    def _check_items(self, low: int, high: int) -> None:
-        """Raise ``ValueError`` unless ``low..high`` lies in the domain."""
-        if low < 0 or high >= self.domain:
-            item = low if low < 0 else high
-            raise ValueError(
-                f"item {item} is outside the CountSketch domain "
-                f"[0, {self.domain})"
-            )
-
     def _rows(self, items):
         """``(columns, signs)``, both ``(depth, len(items))``: where each
         item lands in every row of ``self._table``, and its sign.
@@ -195,7 +270,7 @@ class CountSketch(StreamingAlgorithm):
         open domain and above the cap.
         """
         if self.domain is not None and len(items):
-            self._check_items(int(items.min()), int(items.max()))
+            check_items(int(items.min()), int(items.max()), self.domain)
         if self._compact:
             slots, signs, _buckets = self._cells()
             return slots[:, items], signs[:, items]
@@ -209,10 +284,7 @@ class CountSketch(StreamingAlgorithm):
         if not self._compact:
             return self._table
         slots, _signs, buckets = self._cells()
-        full = np.zeros((self.depth, self.width), dtype=np.int64)
-        rows = self._row_index
-        full[rows, buckets] = self._table[rows, slots]
-        return full
+        return expand_rows(self._table, slots, buckets, self.width)
 
     # -- updates ----------------------------------------------------------
 
@@ -223,7 +295,7 @@ class CountSketch(StreamingAlgorithm):
         """Add ``count`` to coordinate ``item`` (internal, unchecked
         for an open domain)."""
         if self.domain is not None:
-            self._check_items(item, item)
+            check_items(item, item, self.domain)
         if self._compact:
             slots, signs, _buckets = self._cells()
             self._table[self._row_index[:, 0], slots[:, item]] += np.multiply(
@@ -308,7 +380,7 @@ class CountSketch(StreamingAlgorithm):
         """Median-of-rows estimate of coordinate ``item``'s frequency."""
         item = int(item)
         if self.domain is not None:
-            self._check_items(item, item)
+            check_items(item, item, self.domain)
         if self._compact:
             slots, signs, _buckets = self._cells()
             estimates = signs[:, item] * self._table[
@@ -339,9 +411,9 @@ class CountSketch(StreamingAlgorithm):
         table's, unless a row reaches that bound, where the full table
         is summed instead.
         """
-        sums = (self._table.astype(np.float64) ** 2).sum(axis=1)
-        if self._compact and sums.max() >= _EXACT_SUM:
-            sums = (self._full_table().astype(np.float64) ** 2).sum(axis=1)
+        sums = squared_norms(
+            self._table, self._full_table if self._compact else None
+        )
         return float(np.median(sums))
 
     # -- merging / state --------------------------------------------------
@@ -368,30 +440,14 @@ class CountSketch(StreamingAlgorithm):
         return {"table": self._full_table()}
 
     def _load_state_arrays(self, state: dict) -> None:
-        # In place: ``F2Contributing`` holds the table as a view of its
-        # stacked level bank, and the view must survive a load.
-        table = np.asarray(state["table"])
-        shape = (self.depth, self.width)
-        if table.shape != shape or table.dtype.kind not in "iu":
-            raise ValueError(
-                f"CountSketch table must be a {shape} integer "
-                f"array, got {table.dtype} {table.shape}"
-            )
+        table = check_table(state["table"], (self.depth, self.width))
         if not self._compact:
             self._table[...] = table
             return
         slots, _signs, buckets = self._cells()
-        compact = np.zeros_like(self._table)
-        rows = self._row_index
-        compact[rows, slots] = table[rows, buckets]
-        # The compact table holds each reachable cell once, so it has
-        # fewer nonzeros exactly when an unreachable cell is nonzero.
-        if np.count_nonzero(compact) != np.count_nonzero(table):
-            raise ValueError(
-                "CountSketch table has a nonzero counter in a cell that "
-                f"no coordinate of the domain [0, {self.domain}) reaches"
-            )
-        self._table[...] = compact
+        self._table[...] = compact_rows(
+            table, slots, buckets, self._table.shape[1], self.domain
+        )
 
     def space_words(self) -> int:
         hashes = sum(h.space_words() for h in self._bucket_hashes)
@@ -437,7 +493,7 @@ class F2HeavyHitter(StreamingAlgorithm):
         phi: float,
         depth: int = 5,
         seed=0,
-        slack: float = 0.5,
+        slack: float = REPORT_SLACK,
         domain: int | None = None,
     ):
         super().__init__()
@@ -449,10 +505,11 @@ class F2HeavyHitter(StreamingAlgorithm):
         self.domain = (
             None if domain is None else check_positive_int("domain", domain)
         )
-        # Width O(1/phi) makes a phi-heavy coordinate dominate its bucket.
-        width = max(8, int(np.ceil(8.0 / phi)))
         self._sketch = CountSketch(
-            width=width, depth=depth, seed=seed, domain=self.domain
+            width=heavy_hitter_width(phi),
+            depth=depth,
+            seed=seed,
+            domain=self.domain,
         )
         self.capacity = max(4, int(np.ceil(4.0 / phi)))
         # The open-domain pool prunes on a deterministic token schedule

@@ -18,15 +18,21 @@ coefficient forced non-zero.  One generator per hash costs about 24 us,
 and an estimator holds thousands of hashes, so construction derives
 them in bulk instead: :func:`kwise_coefficients` replays numpy's
 derivation for a whole array of integer seeds at once and returns the
-same coefficients bit for bit.  The estimator roots construct inside
+same coefficients bit for bit.  Objects hand their children seeds
+drawn as ``rng.integers(0, 2**63)``; :func:`seed_draws` replays those
+draws in bulk the same way, so a whole seed tree is derived without one
+generator per node.  The estimator roots construct inside
 :func:`coefficient_batch`, where every :class:`KWiseHash` with an integer
-seed in ``[0, 2^64)`` (and every :class:`~repro.sketch.l0.KMVBank` row)
-queues its seed, and one kernel call fills them all when the outermost
-batch closes.  Reading a queued hash early fills the batch at once, so
-no read sees anything but the drawn coefficients.  Other seeds (a
-``Generator``, ``None``, a ``SeedSequence``, a negative value) and
-batches too small for the kernel to pay off draw through numpy, which
-stays the reference the tests compare against.
+seed in ``[0, 2^64)``, every :class:`~repro.sketch.l0.KMVBank` row and
+every :class:`~repro.sketch.contributing.F2Contributing` level queues
+its seeds (or the parent seeds its row seeds are drawn from), and one
+:func:`seed_draws` call and one :func:`kwise_coefficients` call fill
+them all when the outermost batch closes.  Reading a queued hash early
+fills the batch at once, so no read sees anything but the drawn
+coefficients.  Other seeds (a ``Generator``, ``None``, a
+``SeedSequence``, a negative value) and batches too small for the
+kernels to pay off draw through numpy, which stays the reference the
+tests compare against.
 
 The module exposes:
 
@@ -41,8 +47,10 @@ The module exposes:
   and element sampling with ``Theta(log(mn))`` random bits (Appendix A.1).
 * :class:`SampledSetBank` -- stacked membership tests for many sampled
   sets at once, built on :class:`KWiseHashBank`.
-* :func:`kwise_coefficients` and :func:`coefficient_batch` -- the bulk
-  coefficient derivation above.
+* :func:`eval_rows` -- the Horner pass over a stacked coefficient matrix
+  that :class:`KWiseHashBank` and the contributing detectors share.
+* :func:`kwise_coefficients`, :func:`seed_draws` and
+  :func:`coefficient_batch` -- the bulk derivation above.
 """
 
 from __future__ import annotations
@@ -62,9 +70,11 @@ __all__ = [
     "SampledSetBank",
     "coefficient_batch",
     "default_degree",
+    "eval_rows",
     "kwise_coefficients",
     "same_hash",
     "same_sampled_set",
+    "seed_draws",
 ]
 
 #: Mersenne prime 2^31 - 1; the field over which hash polynomials live.
@@ -222,6 +232,15 @@ def _pcg64_seeded(seeds):
     return (*_pcg64_step(hi, lo, inc_hi, inc_lo), inc_hi, inc_lo)
 
 
+def _pcg64_output(hi, lo):
+    """PCG64's XSL-RR output: the state's two words xored, rotated right
+    by its top six bits."""
+    mixed = hi ^ lo
+    rot = hi >> np.uint64(58)
+    left = (np.uint64(64) - rot) & np.uint64(63)
+    return (mixed >> rot) | (mixed << left)
+
+
 def _bounded_draws(seeds, counts, range_size: int):
     """``default_rng(seed).integers(0, range_size, size=count)`` per seed.
 
@@ -253,18 +272,52 @@ def _bounded_draws(seeds, counts, range_size: int):
         if not len(lanes):
             return out
         hi, lo = _pcg64_step(hi, lo, inc_hi, inc_lo)
-        # XSL-RR: the state's two words xored, rotated right by its top
-        # six bits.
-        mixed = hi ^ lo
-        rot = hi >> np.uint64(58)
-        left = (np.uint64(64) - rot) & np.uint64(63)
-        word = (mixed >> rot) | (mixed << left)
+        word = _pcg64_output(hi, lo)
         for draw in (word & _MASK32, word >> _SHIFT32):
             scaled = draw * scale
             take = ((scaled & _MASK32) >= threshold) & (filled < need)
             out[lanes[take], filled[take]] = scaled[take] >> _SHIFT32
             filled += take
         live = filled < need
+
+
+def _seed_array(seeds) -> np.ndarray:
+    """``seeds`` as uint64, provided each is an integer in ``[0, 2^64)``."""
+    if isinstance(seeds, np.ndarray):
+        if seeds.ndim != 1 or (seeds.size and seeds.dtype.kind not in "iu"):
+            raise ValueError("seeds must be a 1-D array of integers")
+        if seeds.dtype.kind == "i" and seeds.size and seeds.min() < 0:
+            raise ValueError("seeds must be non-negative")
+    elif not all(_is_plain_seed(seed) for seed in seeds):
+        raise ValueError("seeds must be integers in [0, 2^64)")
+    # An explicit dtype: numpy infers float64 for ints of 2^63 and above.
+    return np.asarray(seeds, dtype=np.uint64)
+
+
+def seed_draws(seeds, counts) -> np.ndarray:
+    """``default_rng(seed).integers(0, 2**63, size=count)`` per seed.
+
+    ``seeds`` holds integers in ``[0, 2^64)`` and ``counts`` one count,
+    or one per seed.  Returns an ``(len(seeds), max(counts))`` int64
+    matrix whose row ``i`` begins with seed ``i``'s ``counts[i]`` draws,
+    zero-padded.  Over ``[0, 2^63)`` numpy's Lemire draw never rejects
+    and returns the top 63 bits of one 64-bit output, so each draw is
+    one PCG64 step: the whole matrix takes ``max(counts)`` steps over
+    all seeds at once.  This derives the seeds that objects built with
+    ``rng.integers(0, 2**63)`` hand their children.
+    """
+    seeds = _seed_array(seeds)
+    counts = np.broadcast_to(np.asarray(counts, dtype=np.int64), seeds.shape)
+    if counts.size and counts.min() < 0:
+        raise ValueError("counts must be non-negative")
+    width = int(counts.max(initial=0))
+    out = np.empty((len(seeds), width), dtype=np.int64)
+    hi, lo, inc_hi, inc_lo = _pcg64_seeded(seeds)
+    for column in range(width):
+        hi, lo = _pcg64_step(hi, lo, inc_hi, inc_lo)
+        out[:, column] = _pcg64_output(hi, lo) >> np.uint64(1)
+    out[np.arange(width) >= counts[:, None]] = 0
+    return out
 
 
 def kwise_coefficients(seeds, degree) -> np.ndarray:
@@ -277,15 +330,7 @@ def kwise_coefficients(seeds, degree) -> np.ndarray:
     smaller degree takes a prefix of the same draws, so mixed degrees
     share one pass.
     """
-    if isinstance(seeds, np.ndarray):
-        if seeds.ndim != 1 or (seeds.size and seeds.dtype.kind not in "iu"):
-            raise ValueError("seeds must be a 1-D array of integers")
-        if seeds.dtype.kind == "i" and seeds.size and seeds.min() < 0:
-            raise ValueError("seeds must be non-negative")
-    elif not all(_is_plain_seed(seed) for seed in seeds):
-        raise ValueError("seeds must be integers in [0, 2^64)")
-    # An explicit dtype: numpy infers float64 for ints of 2^63 and above.
-    seeds = np.asarray(seeds, dtype=np.uint64)
+    seeds = _seed_array(seeds)
     degrees = np.broadcast_to(np.asarray(degree, dtype=np.int64), seeds.shape)
     if degrees.size and degrees.min() < 1:
         raise ValueError("degree must be >= 1")
@@ -318,40 +363,90 @@ def _coefficient_rows(seeds: list, degrees) -> np.ndarray:
     return rows
 
 
+def _seed_rows(seeds: list, counts) -> np.ndarray:
+    """:func:`seed_draws` of integer ``seeds``, drawn per seed through
+    numpy (the reference the kernel replays) when there are too few for
+    the kernel to pay off."""
+    if len(seeds) >= _KERNEL_MIN_SEEDS:
+        return seed_draws(np.asarray(seeds, dtype=np.uint64), counts)
+    counts = np.broadcast_to(counts, len(seeds))
+    rows = np.zeros((len(seeds), counts.max(initial=0)), dtype=np.int64)
+    for row, seed, count in zip(rows, seeds, counts.tolist()):
+        rng = np.random.default_rng(seed)
+        row[:count] = rng.integers(0, 2**63, size=count)
+    return rows
+
+
+def _request_seeds(requests) -> list:
+    """Every request's integer seeds, in request order.
+
+    A request is ``(seeds, degree, draws)``.  With ``draws=None`` its
+    seeds are given; otherwise they are each parent seed's first
+    ``draws`` :func:`seed_draws`, parent-major, derived for every such
+    request in one call.
+    """
+    derived = [(parents, draws) for parents, _deg, draws in requests if draws]
+    if derived:
+        rows = _seed_rows(
+            [parent for parents, _draws in derived for parent in parents],
+            np.repeat(
+                [draws for _parents, draws in derived],
+                [len(parents) for parents, _draws in derived],
+            ),
+        )
+    seeds, start = [], 0
+    for parents, _degree, draws in requests:
+        if draws is None:
+            seeds.extend(parents)
+        elif draws:
+            stop = start + len(parents)
+            seeds.extend(rows[start:stop, :draws].ravel().tolist())
+            start = stop
+    return seeds
+
+
+def _request_size(request) -> int:
+    parents, _degree, draws = request
+    return len(parents) * (1 if draws is None else draws)
+
+
 class _CoefficientBatch:
-    """Seeds waiting for their coefficients, and the objects awaiting them."""
+    """Requests waiting for their coefficients, and the objects awaiting
+    them."""
 
     def __init__(self):
-        self._seeds: list[int] = []
         self._waiting: list = []
 
-    def defer(self, target, seeds: list, degree: int) -> None:
-        self._waiting.append((target, len(seeds), degree))
-        self._seeds.extend(seeds)
+    def defer(self, target, requests: list) -> None:
+        self._waiting.append((target, requests))
         target._batch = self
 
     def fill(self) -> None:
         """Derive every waiting seed's coefficients in one call and hand
-        each target its ``(len(seeds), degree)`` block."""
-        waiting, seeds = self._waiting, self._seeds
-        self._waiting, self._seeds = [], []
+        each target one block per request."""
+        waiting, self._waiting = self._waiting, []
         if not waiting:
             return
-        _targets, counts, degrees = zip(*waiting)
-        row_degrees = np.repeat(degrees, counts)
-        rows = _coefficient_rows(seeds, row_degrees)
-        by_degree: dict = {}
-        for entry in waiting:
-            by_degree.setdefault(entry[2], []).append(entry)
-        for degree, entries in by_degree.items():
-            # One compact block per degree; targets keep views of it,
-            # not of the zero-padded matrix.
-            block = rows[row_degrees == degree, :degree]
-            offset = 0
-            for target, count, _degree in entries:
-                del target._batch
-                target._fill(block[offset : offset + count])
-                offset += count
+        requests = [request for _target, group in waiting for request in group]
+        sizes = [_request_size(request) for request in requests]
+        row_degrees = np.repeat([degree for _s, degree, _d in requests], sizes)
+        rows = _coefficient_rows(_request_seeds(requests), row_degrees)
+        # One compact block per degree; targets keep views of it, not of
+        # the zero-padded matrix.
+        blocks = {
+            degree: rows[row_degrees == degree, :degree]
+            for degree in {degree for _s, degree, _d in requests}
+        }
+        offsets = dict.fromkeys(blocks, 0)
+        sizes = iter(sizes)
+        for target, group in waiting:
+            parts = []
+            for _seeds, degree, _draws in group:
+                start = offsets[degree]
+                offsets[degree] = start + next(sizes)
+                parts.append(blocks[degree][start : offsets[degree]])
+            del target._batch
+            target._fill(*parts)
 
 
 _LOCAL = threading.local()
@@ -363,11 +458,13 @@ def coefficient_batch():
 
     Within the context, a :class:`KWiseHash` with an integer seed in
     ``[0, 2^64)`` queues its seed instead of drawing, and so does every
-    :class:`~repro.sketch.l0.KMVBank` row; one :func:`kwise_coefficients`
-    call fills them all when the context exits, even by an exception.
-    Batches are per thread, and a batch opened inside another joins it,
-    so nested roots (an ``Oracle`` inside ``EstimateMaxCover``) share the
-    outermost one.
+    :class:`~repro.sketch.l0.KMVBank` row and every
+    :class:`~repro.sketch.contributing.F2Contributing` level; one
+    :func:`seed_draws` call derives the seeds that are drawn from other
+    seeds, and one :func:`kwise_coefficients` call fills them all, when
+    the context exits, even by an exception.  Batches are per thread,
+    and a batch opened inside another joins it, so nested roots (an
+    ``Oracle`` inside ``EstimateMaxCover``) share the outermost one.
     """
     if getattr(_LOCAL, "batch", None) is not None:
         yield
@@ -380,15 +477,30 @@ def coefficient_batch():
         batch.fill()
 
 
-def defer_coefficients(target, seeds: list, degree: int) -> None:
-    """Have ``target._fill`` receive the ``(len(seeds), degree)``
-    coefficients of the integer ``seeds``: when the active batch fills,
-    or at once outside a batch."""
+def defer_coefficients(target, *requests) -> None:
+    """Have ``target._fill`` receive one coefficient block per request:
+    when the active batch fills, or at once outside a batch.
+
+    A request ``(seeds, degree)`` asks for the ``(len(seeds), degree)``
+    coefficients of the integer ``seeds``.  A request ``(parents,
+    degree, draws)`` asks for those of each parent's first ``draws``
+    child seeds (``default_rng(parent).integers(0, 2**63, size=draws)``),
+    parent-major: ``(len(parents) * draws, degree)``.
+    """
+    requests = [
+        (request[0], request[1], request[2] if len(request) > 2 else None)
+        for request in requests
+    ]
     batch = getattr(_LOCAL, "batch", None)
     if batch is None:
-        target._fill(_coefficient_rows(seeds, degree))
+        target._fill(
+            *(
+                _coefficient_rows(_request_seeds([request]), request[1])
+                for request in requests
+            )
+        )
     else:
-        batch.defer(target, seeds, degree)
+        batch.defer(target, requests)
 
 
 class DeferredCoefficients:
@@ -453,7 +565,7 @@ class KWiseHash(DeferredCoefficients):
         self.range_size = int(range_size)
         self.degree = int(degree)
         if _is_plain_seed(seed):
-            defer_coefficients(self, [int(seed)], self.degree)
+            defer_coefficients(self, ([int(seed)], self.degree))
         else:
             self._fill(_draw_coefficients(seed, self.degree)[np.newaxis])
 
@@ -482,6 +594,32 @@ class KWiseHash(DeferredCoefficients):
     def space_words(self) -> int:
         """Words needed to store this function (its coefficients)."""
         return self.degree
+
+
+def eval_rows(coeffs, ranges, xs, out=None) -> np.ndarray:
+    """``out[b, j]``: hash ``b`` of ``xs[j]``, for ``B`` hashes stacked
+    as a ``(B, degree)`` coefficient matrix with a ``(B, 1)`` column of
+    range sizes.
+
+    One Horner pass in :class:`KWiseHash`'s field arithmetic and order
+    of operations, so row ``b`` equals that hash on its own.  Inputs are
+    reduced ``mod p`` first and residues stay below 2^31, so every
+    product fits int64.  ``out``, when given, is a ``(B, len(xs))``
+    int64 buffer that the pass writes into and returns.
+    """
+    xs = np.asarray(xs, dtype=np.int64) % MERSENNE_P
+    acc = (
+        out
+        if out is not None
+        else np.empty((coeffs.shape[0], len(xs)), dtype=np.int64)
+    )
+    acc[:] = coeffs[:, :1]
+    for j in range(1, coeffs.shape[1]):
+        acc *= xs
+        acc += coeffs[:, j : j + 1]
+        acc %= MERSENNE_P
+    acc %= ranges
+    return acc
 
 
 class KWiseHashBank:
@@ -521,29 +659,12 @@ class KWiseHashBank:
         ).reshape(-1, 1)
 
     def eval_many(self, xs, out=None):
-        """``(B, L)`` matrix with ``out[b, j] = hashes[b](xs[j])``.
-
-        Inputs are reduced ``mod p`` first and residues stay below 2^31,
-        so every product fits int64.  ``out``, when given, is a
-        ``(B, len(xs))`` int64 buffer (a scratch-arena view) that the
-        pass writes into and returns.
-        """
-        xs = np.asarray(xs, dtype=np.int64) % MERSENNE_P
+        """``(B, L)`` matrix with ``out[b, j] = hashes[b](xs[j])``, by
+        :func:`eval_rows`; ``out`` may be a scratch-arena view."""
         coeffs = self._coeffs
         if coeffs is None:
             coeffs = self._coeffs = np.stack([h._coeffs for h in self._hashes])
-        acc = (
-            out
-            if out is not None
-            else np.empty((coeffs.shape[0], len(xs)), dtype=np.int64)
-        )
-        acc[:] = coeffs[:, :1]
-        for j in range(1, coeffs.shape[1]):
-            acc *= xs
-            acc += coeffs[:, j : j + 1]
-            acc %= MERSENNE_P
-        acc %= self._ranges
-        return acc
+        return eval_rows(coeffs, self._ranges, xs, out)
 
     def space_words(self) -> int:
         """Words to store every member's coefficients."""
@@ -591,10 +712,15 @@ class SampledSet:
     """
 
     def __init__(self, rate: float, degree: int = 16, seed=0):
+        self.buckets = self.buckets_for(rate)
+        self._hash = KWiseHash(self.buckets, degree=degree, seed=seed)
+
+    @staticmethod
+    def buckets_for(rate: float) -> int:
+        """Hash range of a rate-``rate`` set: ``max(1, ceil(rate))``."""
         if rate < 0:
             raise ValueError(f"rate must be non-negative, got {rate}")
-        self.buckets = max(1, int(np.ceil(rate)))
-        self._hash = KWiseHash(self.buckets, degree=degree, seed=seed)
+        return max(1, int(np.ceil(rate)))
 
     @property
     def probability(self) -> float:

@@ -284,7 +284,7 @@ class KMVBank(DeferredCoefficients):
             np.arange(self.rows, dtype=np.uint64)
             + np.uint64(self.seed & (2**63 - 1))
         ) & np.uint64(2**63 - 1)
-        defer_coefficients(self, seeds.tolist(), _BANK_DEGREE)
+        defer_coefficients(self, (seeds.tolist(), _BANK_DEGREE))
 
     def _fill(self, coeffs) -> None:
         self._coeffs = coeffs

@@ -145,11 +145,38 @@ class TestStreamIO:
             EdgeStream.load(path)
 
 
+def _bench_configuration(out: str) -> dict:
+    """The ``mode:``, ``z_guesses:`` and ``branches:`` lines of a bench."""
+    lines = dict(
+        line.split(":", 1)
+        for line in out.splitlines()
+        if line.split(":", 1)[0] in ("mode", "z_guesses", "branches")
+    )
+    return {key: value.strip() for key, value in lines.items()}
+
+
+def _default_estimator(path):
+    """What ``repro bench --k 5`` builds for the stream at ``path``."""
+    from repro.core.estimate import EstimateMaxCover
+
+    stream = EdgeStream.load(path)
+    return EstimateMaxCover(m=stream.m, n=stream.n, k=5, alpha=4.0, seed=0)
+
+
 class TestBench:
     def test_bench_prints_throughput(self, stream_file, capsys):
         code = main(["bench", stream_file, "--k", "5"])
         assert code == 0
         out = capsys.readouterr().out
+        # The timed configuration: the class defaults, not estimate's
+        # --z-base 4.0.
+        algo = _default_estimator(stream_file)
+        assert _bench_configuration(out) == {
+            "mode": "practical",
+            "z_guesses": " ".join(map(str, algo.z_guesses)),
+            "branches": str(len(algo._branches)),
+        }
+        assert len(algo.z_guesses) > 1
         assert "tokens:" in out
         assert "throughput:" in out
         assert "construct_seconds:" in out
@@ -167,6 +194,10 @@ class TestBench:
         code = main(["bench", stream_file, "--k", "5", "--workers", "2"])
         assert code == 0
         out = capsys.readouterr().out
+        algo = _default_estimator(stream_file)
+        assert _bench_configuration(out)["z_guesses"] == " ".join(
+            map(str, algo.z_guesses)
+        )
         assert "tokens:" in out
         assert "construct_seconds:" not in out
         # The coordinator's RSS would leave the workers out.

@@ -4,9 +4,12 @@ The estimator roots construct inside ``coefficient_batch``: their
 hashes and KMV bank rows queue integer seeds, and one
 ``kwise_coefficients`` call fills them all.  Built with the batch
 replaced by ``contextlib.nullcontext`` and the kernel switched off,
-every coefficient comes from numpy's own generator one seed at a time.
-That is the reference each batched build must equal: every hash, every
-KMV bank coefficient matrix and, after a pass, every state array.
+every coefficient comes from numpy's own generator one seed at a time,
+and so does every seed drawn from another seed (the contributing
+detectors' CountSketch rows).  That is the reference each batched build
+must equal: every hash, every KMV bank coefficient matrix, every
+detector's sampler and row coefficients and, after a pass, every state
+array.
 """
 
 from __future__ import annotations
@@ -24,7 +27,13 @@ from repro.core.oracle import Oracle
 from repro.core.parameters import Parameters
 from repro.sketch import hashing
 from repro.sketch.element_sampling import ElementSampler
-from repro.sketch.hashing import KWiseHash, KWiseHashBank, coefficient_batch
+from repro.sketch.contributing import F2Contributing
+from repro.sketch.hashing import (
+    DeferredCoefficients,
+    KWiseHash,
+    KWiseHashBank,
+    coefficient_batch,
+)
 from repro.sketch.l0 import KMVBank
 from repro.sketch.serialize import state_difference
 
@@ -78,15 +87,18 @@ def per_seed(monkeypatch):
 
 
 def _holders(root) -> list:
-    """Every ``KWiseHash`` and ``KMVBank`` reachable from ``root``, in an
-    order that depends only on how ``root`` was built."""
+    """Every coefficient holder reachable from ``root`` -- each
+    ``KWiseHash``, ``KMVBank`` and domain-mode ``F2Contributing`` -- in
+    an order that depends only on how ``root`` was built."""
     found, seen, stack = [], set(), [root]
     while stack:
         obj = stack.pop()
         if id(obj) in seen:
             continue
         seen.add(id(obj))
-        if isinstance(obj, (KWiseHash, KMVBank)):
+        if isinstance(obj, DeferredCoefficients) and (
+            not isinstance(obj, F2Contributing) or obj.domain is not None
+        ):
             found.append(obj)
         if isinstance(obj, dict):
             stack.extend(obj.values())
@@ -105,20 +117,27 @@ def _assert_nothing_pending(root):
     assert holders
     for holder in holders:
         # vars(), not attribute reads: a read would fill a pending batch.
-        assert "_coeffs" in vars(holder)
+        assert all(name in vars(holder) for name in holder._FILLED)
         assert "_batch" not in vars(holder)
 
 
 def _assert_same_coefficients(batched, reference):
     ours, theirs = _holders(batched), _holders(reference)
     assert [type(h) for h in ours] == [type(h) for h in theirs]
+    # Every root holds LargeSet runs, whose detectors hold sampler and
+    # row coefficients.
+    assert any(isinstance(h, F2Contributing) for h in ours)
     for mine, ref in zip(ours, theirs):
-        assert mine._coeffs.dtype == np.int64
-        assert np.array_equal(mine._coeffs, ref._coeffs)
+        for name in mine._FILLED:
+            value = vars(mine)[name]
+            if isinstance(value, np.ndarray):
+                assert value.dtype == np.int64
+                assert np.array_equal(value, vars(ref)[name])
+            else:
+                assert value == vars(ref)[name]
         if isinstance(mine, KWiseHash):
             assert mine.degree == ref.degree
             assert mine.range_size == ref.range_size
-            assert mine._coeffs_py == ref._coeffs_py
 
 
 def _feed(algo, stream):

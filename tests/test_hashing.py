@@ -291,3 +291,78 @@ class TestBatchedHashes:
         with pytest.raises(ValueError):
             with coefficient_batch():
                 KWiseHash(10, seed=np.int64(-3))
+
+
+def _numpy_children(seed, count):
+    """The seeds an object drawing ``rng.integers(0, 2**63)`` ``count``
+    times from ``default_rng(seed)`` hands its children."""
+    return np.random.default_rng(seed).integers(0, 2**63, size=count)
+
+
+class _Holder:
+    """A coefficient-batch target that keeps every block it is handed."""
+
+    def _fill(self, *blocks):
+        self.blocks = blocks
+
+
+class TestSeedDraws:
+    """The bulk seed tree replays numpy's per-seed ``integers(0, 2**63)``
+    draws bit for bit."""
+
+    SEEDS = TestKWiseCoefficients.SEEDS[-300:]
+
+    def test_matches_numpy_per_seed(self):
+        counts = np.random.default_rng(6).integers(0, 24, size=len(self.SEEDS))
+        got = hashing.seed_draws(self.SEEDS, counts)
+        assert got.shape == (len(self.SEEDS), counts.max())
+        assert got.dtype == np.int64
+        for seed, count, row in zip(self.SEEDS, counts.tolist(), got):
+            assert np.array_equal(row[:count], _numpy_children(seed, count))
+            assert not row[count:].any()
+
+    def test_one_count_for_every_seed(self):
+        got = hashing.seed_draws(TestKWiseCoefficients.EDGE_SEEDS, 8)
+        for seed, row in zip(TestKWiseCoefficients.EDGE_SEEDS, got):
+            assert np.array_equal(row, _numpy_children(seed, 8))
+
+    @pytest.mark.parametrize("batched", (False, True))
+    def test_derived_requests_match_numpy(self, batched):
+        # Two derived requests of different counts and one direct one:
+        # 300 parents take the kernel, 6 edge seeds the per-seed path
+        # outside a batch.
+        many, few = self.SEEDS, TestKWiseCoefficients.EDGE_SEEDS
+        holder = _Holder()
+        requests = ((many, 4, 3), (few, 16), (few, 2, 5))
+        if batched:
+            with coefficient_batch():
+                hashing.defer_coefficients(holder, *requests)
+                assert not hasattr(holder, "blocks")
+        else:
+            hashing.defer_coefficients(holder, *requests)
+        derived, direct, small = holder.blocks
+        assert derived.shape == (3 * len(many), 4)
+        assert direct.shape == (len(few), 16)
+        assert small.shape == (5 * len(few), 2)
+        expected = [
+            _numpy_coefficients(int(child), 4)
+            for seed in many
+            for child in _numpy_children(seed, 3)
+        ]
+        assert np.array_equal(derived, np.stack(expected))
+        for seed, row in zip(few, direct):
+            assert np.array_equal(row, _numpy_coefficients(seed, 16))
+        expected = [
+            _numpy_coefficients(int(child), 2)
+            for seed in few
+            for child in _numpy_children(seed, 5)
+        ]
+        assert np.array_equal(small, np.stack(expected))
+
+    def test_rejects_bad_seeds_and_counts(self):
+        with pytest.raises(ValueError):
+            hashing.seed_draws([3, -1], 4)
+        with pytest.raises(ValueError):
+            hashing.seed_draws([1.5], 4)
+        with pytest.raises(ValueError):
+            hashing.seed_draws([3, 4], [2, -1])

@@ -1,11 +1,11 @@
 """The array-backed ingest state against its per-object references.
 
 ``LargeSetRun`` keeps its case-2b ``L_0`` sketches as rows of one
-:class:`~repro.sketch.l0.KMVBank`, ``F2Contributing`` updates its
-levels' CountSketch tables with one stacked scatter, and ``SmallSetRun``
-appends packed edge arrays that it deduplicates lazily.  Each must hold
-exactly what the per-superset ``L0Sketch``, the per-level
-``F2HeavyHitter.ingest_unique`` and the per-edge ``feed`` would.
+:class:`~repro.sketch.l0.KMVBank`, ``F2Contributing`` keeps its levels
+as one bank of arrays, and ``SmallSetRun`` appends packed edge arrays
+that it deduplicates lazily.  Each must hold exactly what the
+per-superset ``L0Sketch``, the per-level ``SampledSet`` and
+``F2HeavyHitter`` and the per-edge ``feed`` would.
 """
 
 from __future__ import annotations
@@ -16,13 +16,16 @@ import numpy as np
 import pytest
 
 from repro import EdgeStream, StreamRunner
+from repro.base import MergeIncompatibleError
 from repro.core.estimate import EstimateMaxCover
-from repro.core.large_set import _L0_SIZE
+from repro.core.large_set import _L0_SIZE, LargeSetOutcome
 from repro.core.oracle import Oracle
 from repro.core.parameters import Parameters
 from repro.core.small_set import SmallSet
-from repro.sketch import countsketch
-from repro.sketch.contributing import F2Contributing
+from repro.sketch import contributing, countsketch
+from repro.sketch.contributing import ContributingCoordinate, F2Contributing
+from repro.sketch.countsketch import F2HeavyHitter
+from repro.sketch.hashing import SampledSet
 from repro.sketch.l0 import L0Sketch
 from repro.sketch.serialize import dumps_state, loads_state
 from repro.streams.generators import planted_cover
@@ -149,8 +152,74 @@ class TestKMVBankReference:
         assert (outcome.case, outcome.superset_id) == ("sampled-l0", 3)
 
 
+def _reference_levels(detector, seed):
+    """Standalone ``SampledSet`` and ``F2HeavyHitter`` per level, seeded
+    by sequential draws from ``default_rng(seed)``, as each level of a
+    detector once built its own objects."""
+    rng = np.random.default_rng(seed)
+    levels = []
+    for level in range(detector.num_levels):
+        sampler = SampledSet(
+            max(1.0, (1 << level) / 8), seed=rng.integers(0, 2**63)
+        )
+        heavy = F2HeavyHitter(
+            detector.phi,
+            depth=detector.depth,
+            seed=rng.integers(0, 2**63),
+            domain=detector.domain,
+        )
+        levels.append((sampler, heavy))
+    return levels
+
+
+def _feed_reference(levels, items):
+    unique, counts = np.unique(items, return_counts=True)
+    for sampler, heavy in levels:
+        keep = sampler.contains_many(unique)
+        if keep.any():
+            heavy.ingest_unique(
+                unique[keep], counts[keep], int(counts[keep].sum())
+            )
+
+
+def _walked_contributing(levels) -> list:
+    """The per-level loop every detector ran before its bank: the best
+    frequency per coordinate, the first level on ties, sorted by
+    frequency with ties in first-report order."""
+    best: dict = {}
+    for level, (_sampler, heavy) in enumerate(levels):
+        for coordinate, frequency in heavy.peek_heavy_hitters().items():
+            known = best.get(coordinate)
+            if known is None or frequency > known.frequency:
+                best[coordinate] = ContributingCoordinate(
+                    coordinate, frequency, level
+                )
+    return sorted(best.values(), key=lambda c: c.frequency, reverse=True)
+
+
+def _assert_bank_matches(detector, levels):
+    state = detector.state_arrays()
+    estimates, heavy = detector._level_reports()
+    for level, (_sampler, reference) in enumerate(levels):
+        expected = reference.state_arrays()
+        for key in ("sketch/table", "sketch/tokens", "tokens"):
+            mine = state[f"levels/{level}/{key}"]
+            assert mine.dtype == expected[key].dtype
+            assert np.array_equal(mine, expected[key])
+        assert int(state[f"levels/{level}/tokens"]) == reference.tokens_seen
+        reported = np.flatnonzero(heavy[level])
+        assert dict(
+            zip(reported.tolist(), estimates[level, reported].tolist())
+        ) == reference.peek_heavy_hitters()
+    assert detector.peek_contributing() == _walked_contributing(levels)
+    top = detector.peek_top()
+    assert top == (detector.peek_contributing() or [None])[0]
+
+
 class TestStackedContributing:
-    """One stacked scatter equals the per-level ``ingest_unique`` loop."""
+    """The array bank equals standalone per-level ``SampledSet`` and
+    ``F2HeavyHitter`` objects: tables, tokens, reports and the detector's
+    report, after merges and state round trips too."""
 
     DOMAIN = 150
 
@@ -160,11 +229,14 @@ class TestStackedContributing:
     ):
         if not compact:
             # Above the cap: full tables, every chunk hashed.
-            monkeypatch.setattr(
-                countsketch, "TABLE_DOMAIN_CAP", self.DOMAIN - 1
-            )
+            for module in (countsketch, contributing):
+                monkeypatch.setattr(
+                    module, "TABLE_DOMAIN_CAP", self.DOMAIN - 1
+                )
         stacked = F2Contributing(0.05, 40, seed=3, domain=self.DOMAIN)
-        per_level = F2Contributing(0.05, 40, seed=3, domain=self.DOMAIN)
+        other = F2Contributing(0.05, 40, seed=3, domain=self.DOMAIN)
+        levels = _reference_levels(stacked, 3)
+        other_levels = _reference_levels(stacked, 3)
         gathers = []
         level_rows = stacked._level_rows
 
@@ -182,37 +254,87 @@ class TestStackedContributing:
         # present columns of one and applies every term for the other.
         chunks += [np.array([5, 5, 140]), np.arange(self.DOMAIN)]
         for items in chunks:
-            unique, counts = np.unique(items, return_counts=True)
             stacked.ingest_grouped(
                 np.bincount(items, minlength=self.DOMAIN), len(items)
             )
-            keep = per_level._sampler_bank.contains_matrix(unique)
-            for sketch, row in zip(per_level._sketches, keep):
-                if counts[row].sum():
-                    sketch.ingest_unique(
-                        unique[row], counts[row], int(counts[row].sum())
-                    )
+            _feed_reference(levels, items)
         assert stacked.num_levels > 1
         assert (stacked._layout is not None) == compact
         if compact:
             assert 0 < len(gathers) < len(chunks)
         else:
             assert len(gathers) == len(chunks)
-        for mine, reference in zip(stacked._sketches, per_level._sketches):
-            assert np.array_equal(mine._sketch._table, reference._sketch._table)
-            assert mine.tokens_seen == reference.tokens_seen
-        assert any(s._sketch._table.any() for s in stacked._sketches)
+        assert stacked._tables.any()
+        assert stacked.peek_contributing()
+        _assert_bank_matches(stacked, levels)
+
+        # A merge adds the banks as the levels' sketches add.
+        for items in chunks[:3]:
+            other.process_batch(items)
+            _feed_reference(other_levels, items)
+        stacked.merge(other)
+        for (_s, mine), (_o, theirs) in zip(levels, other_levels):
+            mine.merge(theirs)
+        _assert_bank_matches(stacked, levels)
+
+        # A state round trip into a fresh detector.
+        restored = loads_state(
+            F2Contributing(0.05, 40, seed=3, domain=self.DOMAIN),
+            dumps_state(stacked),
+        )
+        _assert_bank_matches(restored, levels)
+        assert restored.tokens_seen == stacked.tokens_seen
+
+    def test_rejects_what_the_levels_rejected(self):
+        def detector(seed=3, domain=self.DOMAIN):
+            return F2Contributing(0.05, 40, seed=seed, domain=domain)
+
+        fed = detector()
+        fed.process_batch(np.arange(self.DOMAIN))
+        state = fed.state_arrays()
+        for feed in (
+            lambda d: d.process_batch(np.array([3, self.DOMAIN])),
+            lambda d: d.process(-1),
+            lambda d: d.ingest_grouped(np.ones(self.DOMAIN - 1), 5),
+        ):
+            with pytest.raises(ValueError):
+                feed(detector())
+        bad = dict(state)
+        bad["levels/2/sketch/table"] = np.zeros((4, 70), dtype=np.int64)
+        with pytest.raises(ValueError, match="CountSketch table must be"):
+            detector().load_state_arrays(bad)
+        # A counter in a bucket no superset id reaches at level 0.
+        table = np.array(state["levels/0/sketch/table"])
+        reached = fed._layout_tables()[2][0]
+        table[0, np.setdiff1d(np.arange(fed.width), reached)[0]] = 1
+        bad["levels/2/sketch/table"] = state["levels/2/sketch/table"]
+        bad["levels/0/sketch/table"] = table
+        target = detector()
+        with pytest.raises(ValueError, match="no coordinate"):
+            target.load_state_arrays(bad)
+        assert not target._tables.any()
+        for other in (
+            detector(seed=4),
+            detector(domain=self.DOMAIN + 1),
+            F2Contributing(0.05, 40, seed=3),
+            F2Contributing(0.05, 40, seed=3, depth=5, domain=self.DOMAIN),
+            F2Contributing(
+                0.05, 40, seed=3, phi_scale=4.0, domain=self.DOMAIN
+            ),
+        ):
+            with pytest.raises(MergeIncompatibleError):
+                detector().merge(other)
 
     def test_level_tables_stay_views_after_load(self):
         source = F2Contributing(0.05, 40, seed=3, domain=self.DOMAIN)
         source.process_batch(np.arange(self.DOMAIN))
         target = F2Contributing(0.05, 40, seed=3, domain=self.DOMAIN)
+        bank = target._tables
         loads_state(target, dumps_state(source))
-        for level, sketch in enumerate(target._sketches):
-            assert np.shares_memory(sketch._sketch._table, target._tables)
-            assert np.array_equal(
-                target._tables[level], source._sketches[level]._sketch._table
-            )
+        # Loaded in place: the bank that later chunks scatter into.
+        assert target._tables is bank
+        assert np.array_equal(bank, source._tables)
+        assert np.array_equal(target._level_tokens, source._level_tokens)
 
 
 def _arrays(obj, seen=None):
@@ -235,6 +357,45 @@ def _arrays(obj, seen=None):
             yield from _arrays(item, seen)
 
 
+def _reachable(obj) -> list:
+    """Every object reachable from ``obj`` through ``repro`` objects,
+    lists, tuples and dicts."""
+    found, seen, stack = [], set(), [obj]
+    while stack:
+        item = stack.pop()
+        if id(item) in seen:
+            continue
+        seen.add(id(item))
+        found.append(item)
+        if isinstance(item, dict):
+            stack.extend(item.values())
+        elif isinstance(item, (list, tuple)):
+            stack.extend(item)
+        elif type(item).__module__.startswith("repro") and hasattr(
+            item, "__dict__"
+        ):
+            stack.extend(vars(item).values())
+    return found
+
+
+def _quick_reference_pass():
+    """The e2e ``--quick`` reference shape, seed 7, after its pass."""
+    planted = planted_cover(n=1000, m=200, k=10, coverage_frac=0.9, seed=99)
+    stream = EdgeStream.from_system(planted.system, order="random", seed=2)
+    algo = EstimateMaxCover(m=200, n=1000, k=10, alpha=4, seed=7)
+    StreamRunner(chunk_size=4096).run(algo, stream)
+    return algo
+
+
+def _detectors(algo) -> list:
+    return [
+        detector
+        for _z, _reducer, oracle in algo._branches
+        for run in oracle._large_set._runs
+        for detector in (run._cntr_small, run._cntr_large)
+    ]
+
+
 class TestCompactMemory:
     """LargeSet's levels hold only the counters their domain reaches.
 
@@ -247,36 +408,31 @@ class TestCompactMemory:
     #: ``(depth, width)`` table: the charge must not move.
     SPACE_WORDS = 4_216_722
     HELD_COUNTERS = 132_000
+    #: Reachable ``KWiseHash`` objects after the pass; 3,182 while every
+    #: level built a ``SampledSet``, an ``F2HeavyHitter`` and its rows.
+    KWISE_HASHES = 212
 
     def test_levels_hold_depth_times_domain(self):
-        planted = planted_cover(
-            n=1000, m=200, k=10, coverage_frac=0.9, seed=99
-        )
-        stream = EdgeStream.from_system(planted.system, order="random", seed=2)
         tracemalloc.start()
         try:
-            algo = EstimateMaxCover(m=200, n=1000, k=10, alpha=4, seed=7)
-            StreamRunner(chunk_size=4096).run(algo, stream)
+            algo = _quick_reference_pass()
             _current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        levels = [
-            heavy._sketch
-            for _z, _reducer, oracle in algo._branches
-            for run in oracle._large_set._runs
-            for detector in (run._cntr_small, run._cntr_large)
-            for heavy in detector._sketches
-        ]
-        held, full_bytes, full_shapes = 0, 0, set()
-        for sketch in levels:
-            assert sketch._table.shape == (
-                sketch.depth,
-                min(sketch.domain, sketch.width),
+        held, full_bytes, levels, full_shapes = 0, 0, 0, set()
+        for detector in _detectors(algo):
+            bank = detector._tables
+            shape = (detector.depth, detector.width)
+            assert bank.shape == (
+                detector.num_levels,
+                detector.depth,
+                min(detector.domain, detector.width),
             )
-            held += sketch._table.size
-            full_bytes += sketch.depth * sketch.width * sketch._table.itemsize
-            full_shapes.add((sketch.depth, sketch.width))
-        assert len(levels) == 330
+            levels += detector.num_levels
+            held += bank.size
+            full_bytes += detector.num_levels * np.prod(shape) * bank.itemsize
+            full_shapes |= {shape, (detector.num_levels, *shape)}
+        assert levels == 330
         assert held == self.HELD_COUNTERS
         assert not any(a.shape in full_shapes for a in _arrays(algo))
         # Construction and pass together never held what the full
@@ -284,6 +440,97 @@ class TestCompactMemory:
         assert peak < full_bytes
         assert algo.space_words() == self.SPACE_WORDS
         assert algo.estimate() == 428.0
+
+    def test_no_per_level_objects(self):
+        algo = _quick_reference_pass()
+        names = [type(obj).__name__ for obj in _reachable(algo)]
+        for name in ("F2HeavyHitter", "CountSketch", "SignHash"):
+            assert name not in names
+        assert names.count("F2Contributing") == 60
+        assert names.count("KWiseHash") == self.KWISE_HASHES
+
+
+def _walked_outcome(run) -> LargeSetOutcome | None:
+    """``LargeSetRun.peek_outcome`` as it walked every reported
+    coordinate of both detectors before reading their top entries."""
+    p = run.params
+    thr1, thr2 = run.thresholds()
+    best = None
+
+    def consider(candidate):
+        nonlocal best
+        if best is None or candidate.value_on_sample > best.value_on_sample:
+            best = candidate
+
+    for detector, threshold, case in (
+        (run._cntr_small, thr1, "contributing-small"),
+        (run._cntr_large, thr2, "contributing-large"),
+    ):
+        for coord in detector.peek_contributing():
+            if coord.frequency >= 0.5 * threshold:
+                consider(
+                    LargeSetOutcome(
+                        2.0 * coord.frequency / (3.0 * p.f),
+                        coord.coordinate,
+                        case,
+                    )
+                )
+    sids, values = run._l0.estimates()
+    passing = values >= 0.5 * thr2
+    for sid, val in zip(sids[passing].tolist(), values[passing].tolist()):
+        consider(LargeSetOutcome(2.0 * val / 3.0, sid, "sampled-l0"))
+    return best
+
+
+class TestPeekOutcome:
+    """Reading each detector's top entry picks what walking every
+    reported coordinate picked."""
+
+    def test_top_entries_equal_the_walk(self):
+        algo = _quick_reference_pass()
+        runs = [
+            run
+            for _z, _reducer, oracle in algo._branches
+            for run in oracle._large_set._runs
+        ]
+        outcomes = [run.peek_outcome() for run in runs]
+        assert outcomes == [_walked_outcome(run) for run in runs]
+        assert {o.case for o in outcomes if o is not None} >= {
+            "contributing-small"
+        }
+
+    @staticmethod
+    def _fresh_run():
+        algo = EstimateMaxCover(m=200, n=1000, k=10, alpha=4, seed=7)
+        return algo._branches[0][2]._large_set._runs[0]
+
+    def test_ties_go_to_the_first_report(self):
+        run = self._fresh_run()
+        state = run.state_arrays()
+        # Level 0 of both detectors holds coordinates 3 and 7 at one
+        # large count: equal frequencies within each detector and equal
+        # values across them.
+        for name in ("cntr_small", "cntr_large"):
+            detector = getattr(run, f"_{name}")
+            slots, signs, buckets = detector._layout_tables()
+            table = np.zeros((detector.depth, detector.width), dtype=np.int64)
+            for coordinate in (3, 7):
+                for row in range(detector.depth):
+                    table[row, buckets[row, coordinate]] += (
+                        int(signs[row, coordinate]) * 10**6
+                    )
+            for level in range(detector.num_levels):
+                key = f"{name}/levels/{level}/sketch/table"
+                state[key] = table if level == 0 else np.zeros_like(table)
+        fresh = self._fresh_run()
+        fresh.load_state_arrays(state)
+        for detector in (fresh._cntr_small, fresh._cntr_large):
+            top = detector.peek_contributing()[:2]
+            assert [c.coordinate for c in top] == [3, 7]
+            assert top[0].frequency == top[1].frequency
+        outcome = fresh.peek_outcome()
+        assert outcome == _walked_outcome(fresh)
+        assert (outcome.case, outcome.superset_id) == ("contributing-small", 3)
 
 
 class TestSmallSetLazyDedup:

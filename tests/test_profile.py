@@ -7,8 +7,8 @@ accounting rules the report relies on:
   (``horner`` inside ``hash-eval``) never double count and category
   totals stay at or below the pass's wall clock;
 * instrumented call sites actually fire -- a profiled planned pass
-  reports the ``plan-build`` / ``hash-eval`` / ``horner`` / ``scatter``
-  categories it advertises.
+  reports the ``plan-build`` / ``hash-eval`` / ``horner`` / ``layout``
+  / ``scatter`` categories it advertises.
 """
 
 import time
@@ -214,3 +214,31 @@ class TestInstrumentedSites:
         # Self-time accounting means categories partition (a subset of)
         # the pass; tolerance covers clock granularity on short spans.
         assert total <= report.seconds * 1.05 + 1e-3
+
+    def test_profiled_pass_reports_layout_builds(self):
+        workload = planted_cover(800, 120, 6, seed=3)
+        stream = EdgeStream.from_system(
+            workload.system, order="random", seed=4
+        )
+        algo = EstimateMaxCover(
+            m=stream.m, n=stream.n, k=6, alpha=4.0, seed=0
+        )
+        PROFILER.start()
+        report = StreamRunner(chunk_size=1024).run(algo, stream)
+        PROFILER.stop()
+        detectors = [
+            detector
+            for _z, _reducer, oracle in algo._branches
+            for run in oracle._large_set._runs
+            for detector in (run._cntr_small, run._cntr_large)
+        ]
+        # Each detector lays out its levels, then builds its ingest
+        # tables, once, at its first chunk.
+        builds = sum(
+            (detector._layout is not None) + (detector._ingest is not None)
+            for detector in detectors
+        )
+        assert builds > len(detectors)
+        layout = PROFILER.snapshot()["layout"]
+        assert layout["calls"] == builds
+        assert 0.0 < layout["seconds"] <= report.seconds
