@@ -28,7 +28,9 @@ half its coverage from ``OPT_large`` -- sets contributing at least a
    than ``r2`` are handled separately: sample ``~ log m / r2`` of the
    supersets outright and measure each one's *coverage* with an ``L_0``
    sketch.  The sampled supersets' KMV synopses live in one
-   :class:`~repro.sketch.l0.KMVBank`, rows ordered by superset id.
+   :class:`~repro.sketch.l0.KMVBank`, rows ordered by superset id.  On
+   the planned path the bank hashes each (sampled superset, sampled
+   element) cell once, at the first chunk, and gathers from that table.
 5. A reported superset with (sampled) total size ``v~`` certifies a
    coverage estimate ``2 v~ / (3 f)`` on the sample (Lemma 4.14 / B.3),
    and its member sets ``{S : h(S) = i*}`` are recoverable from the
@@ -105,9 +107,13 @@ class LargeSetRun(StreamingAlgorithm):
     the full tables), and the case-2b ``L_0`` sketches of the sampled
     supersets are the rows of one :class:`~repro.sketch.l0.KMVBank`
     (superset ``i`` hashes with seed ``(l0_seed + i) & (2**63 - 1)``).
-    Both are linear or order-free, so scalar, batched, planned and
-    merged runs hold the same state.  Finalisation scores each
-    detector's levels in one pass and reads only its top entry.
+    The planned path has the bank tabulate the values of every
+    (sampled superset, sampled element) cell at its first chunk (see
+    :meth:`_tabulate_l0`), a cache like the plan's domain tables, so no
+    chunk hashes a pair.  Both are linear or order-free, so scalar,
+    batched, planned and merged runs hold the same state.  Finalisation
+    scores each detector's levels in one pass and reads only its top
+    entry.
 
     Parameters
     ----------
@@ -173,8 +179,12 @@ class LargeSetRun(StreamingAlgorithm):
         self._element_memo: dict[int, bool] = {}
         # Fused-plan slots (see _register_plan); populated lazily.
         self._elem_slot = None
+        self._elem_col = None
         self._partition_slot = None
         self._ss_slot = None
+        # Whether the KMV bank tabulated its cells at the first planned
+        # chunk (None until then).
+        self._l0_tabulated = None
 
     # -- stream processing -------------------------------------------------
 
@@ -232,13 +242,14 @@ class LargeSetRun(StreamingAlgorithm):
             sids, elements, self._superset_sampler.contains_many(sids)
         )
 
-    def _ingest_sids(self, sids, elements, sampled) -> None:
+    def _ingest_sids(self, sids, elements, sampled, tabulated=False) -> None:
         """Feed superset ids to every consumer.
 
         One ``bincount`` over the superset domain counts the chunk's
-        ids for both contributing detectors; the KMV bank hashes the
+        ids for both contributing detectors; the KMV bank takes the
         ``(sid, element)`` pairs whose superset is sampled (``sampled``
-        is a per-position mask, ``None`` when every superset is).
+        is a per-position mask, ``None`` when every superset is), from
+        its table when ``tabulated`` (see :meth:`_tabulate_l0`).
         """
         profiling = PROFILER.enabled
         t0 = PROFILER.clock() if profiling else 0.0
@@ -248,15 +259,17 @@ class LargeSetRun(StreamingAlgorithm):
         self._cntr_small.ingest_grouped(counts, len(sids))
         self._cntr_large.ingest_grouped(counts, len(sids))
         if sampled is None:
-            self._l0.insert(sids, elements)
+            self._l0.insert(sids, elements, tabulated)
         elif sampled.any():
-            self._l0.insert(sids[sampled], elements[sampled])
+            self._l0.insert(sids[sampled], elements[sampled], tabulated)
 
     # -- fused-plan hooks ---------------------------------------------------
 
     def _register_plan(self, plan, set_col, elem_col) -> None:
         """Register this run's hash families and derive its sid column."""
         sampler = self.element_sampler
+        self._elem_col = elem_col
+        self._l0_tabulated = None
         self._elem_slot = (
             None
             if sampler is None
@@ -270,6 +283,8 @@ class LargeSetRun(StreamingAlgorithm):
 
         The superset-id column is gathered from the plan's partition
         table and the superset sampler's mask from its domain table;
+        the KMV bank gathers its values from the table
+        :meth:`_tabulate_l0` builds at the first chunk, and
         :meth:`_ingest_sids` does the rest.  Bit-identical to
         ``_process_batch(set_ids, elements)``.
         """
@@ -297,7 +312,42 @@ class LargeSetRun(StreamingAlgorithm):
                 if table is not None
                 else self._superset_sampler.contains_many(sids)
             )
-        self._ingest_sids(sids, elements, sampled)
+        if self._l0_tabulated is None:
+            self._l0_tabulated = self._tabulate_l0()
+        self._ingest_sids(sids, elements, sampled, self._l0_tabulated)
+
+    def _tabulate_l0(self) -> bool:
+        """Have the KMV bank hash every cell a planned chunk can feed it,
+        once; whether it did.
+
+        The rows are the sampled superset ids, read from the superset
+        sampler's mask table (every id when it keeps all).  The items
+        are the element sampler's sampled elements, read from its mask
+        table; with no sampler or a rate-1 one, every element of the
+        column's domain, provided the plan range-checks the column or
+        its values are hash outputs.  Without these tables the bank
+        keeps hashing.
+        """
+        ss_slot = self._ss_slot
+        if ss_slot.trivial:
+            rows = np.arange(self.num_supersets, dtype=np.int64)
+        else:
+            table = ss_slot.mask_table()
+            if table is None:
+                return False
+            rows = np.flatnonzero(table)
+        slot = self._elem_slot
+        if slot is None or slot.trivial:
+            column = self._elem_col
+            if column.kind != "derived" and not column.needs_check:
+                return False
+            items = np.arange(column.domain, dtype=np.int64)
+        else:
+            table = slot.mask_table()
+            if table is None:
+                return False
+            items = np.flatnonzero(table)
+        return self._l0.tabulate(rows, items)
 
     # -- merging / state ----------------------------------------------------
 

@@ -3,7 +3,8 @@
 ``repro bench --profile`` flips :data:`PROFILER` on for one measured
 pass and prints where the time went: k-wise hash evaluation, the
 contributing detectors' one-time layout builds, sketch scatter updates,
-distinct-element inserts, shard merging.  The
+distinct-element inserts (``kmv-insert`` for LargeSet's case-2b bank,
+``l0-insert`` for LargeCommon's sketches), shard merging.  The
 categories are coarse by design -- they answer "which kernel family
 should the next perf PR attack", not "which line".
 

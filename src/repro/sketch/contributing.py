@@ -284,17 +284,20 @@ class F2Contributing(DeferredCoefficients, StreamingAlgorithm):
         ``signed`` is the ``(levels * depth, domain)`` sign table with
         0 where the row's level does not sample the coordinate.
         ``terms`` is ``(cells, items, signs, keep)``: the flat bank
-        cell, coordinate and sign of every ``(level, row, coordinate)``
-        whose level samples the coordinate, and the ``(levels,
-        domain)`` survivor table.
+        cell and coordinate (both int32: a cell is below ``levels *
+        depth * min(domain, width) < 2^31``) and sign of every
+        ``(level, row, coordinate)`` whose level samples the
+        coordinate, and the ``(levels, domain)`` survivor table.
         """
         if self._ingest is None:
             slots, signs, _buckets = self._layout_tables()
             t0 = PROFILER.clock() if PROFILER.enabled else 0.0
-            items = np.arange(self.domain, dtype=np.int64)
+            items = np.arange(self.domain, dtype=np.int32)
             keep = self._keep(items)
             kept = np.repeat(keep, self.depth, axis=0)
-            offsets = np.arange(len(slots)) * self._tables.shape[2]
+            offsets = (
+                np.arange(len(slots), dtype=np.int32) * self._tables.shape[2]
+            )
             terms = (
                 (slots + offsets[:, None])[kept],
                 np.broadcast_to(items, kept.shape)[kept],

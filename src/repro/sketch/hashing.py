@@ -10,7 +10,9 @@ over a prime field: pick ``d`` coefficients uniformly from ``GF(p)`` and set
 We use the Mersenne prime ``p = 2^31 - 1`` so products of two residues fit
 comfortably in 64-bit integers, which lets us evaluate the polynomial over
 whole numpy arrays with Horner's rule -- the hot path for every sketch in
-this package.
+this package.  Stacks of high-degree hashes are evaluated instead as two
+exact float64 matrix products against a table of powers (see
+:func:`eval_rows`), to the same residues.
 
 A hash with seed ``s`` draws its coefficients as
 ``np.random.default_rng(s).integers(0, p, size=d)``, with the leading
@@ -39,7 +41,8 @@ The module exposes:
 * :class:`KWiseHash` -- the raw family, mapping ``[p] -> [range_size]``.
 * :class:`KWiseHashBank` -- many same-degree functions stacked into a
   ``(branches, degree)`` coefficient matrix on first use and evaluated on
-  a whole chunk with one batched Horner pass (the multi-branch hot path).
+  a whole chunk with one :func:`eval_rows` pass (the multi-branch hot
+  path).
 * :class:`SignHash` -- four-wise independent ``{-1, +1}`` hash used by
   CountSketch / AMS.
 * :class:`SampledSet` -- rate-``1/r`` membership test implemented as
@@ -47,8 +50,10 @@ The module exposes:
   and element sampling with ``Theta(log(mn))`` random bits (Appendix A.1).
 * :class:`SampledSetBank` -- stacked membership tests for many sampled
   sets at once, built on :class:`KWiseHashBank`.
-* :func:`eval_rows` -- the Horner pass over a stacked coefficient matrix
-  that :class:`KWiseHashBank` and the contributing detectors share.
+* :func:`eval_rows` -- the pass over a stacked coefficient matrix that
+  :class:`KWiseHash`, :class:`KWiseHashBank`, the contributing detectors
+  and the KMV bank's value table share: Horner, or an exact power-table
+  product for two or more hashes of degree 8 to 64.
 * :func:`kwise_coefficients`, :func:`seed_draws` and
   :func:`coefficient_batch` -- the bulk derivation above.
 """
@@ -584,16 +589,37 @@ class KWiseHash(DeferredCoefficients):
             for a in self._coeffs_py[1:]:
                 acc = (acc * xi + a) % MERSENNE_P
             return acc % self.range_size
-        # Array path: one Horner pass over the whole input.
-        xs = np.asarray(x, dtype=np.int64) % MERSENNE_P
-        acc = np.full_like(xs, self._coeffs_py[0])
-        for a in self._coeffs_py[1:]:
-            acc = (acc * xs + a) % MERSENNE_P
-        return acc % self.range_size
+        # Array path: one eval_rows row (Horner), in the input's shape;
+        # a 0-d input gives a numpy scalar, as numpy arithmetic would.
+        xs = np.asarray(x, dtype=np.int64)
+        values = eval_rows(
+            self._coeffs[np.newaxis], self.range_size, xs.reshape(-1)
+        )
+        return values.reshape(xs.shape)[()]
 
     def space_words(self) -> int:
         """Words needed to store this function (its coefficients)."""
         return self.degree
+
+
+#: :func:`eval_rows` takes the power-table kernel for at least this many
+#: stacked hashes of a degree in this range; Horner otherwise.  Measured
+#: on a 2-CPU host (hashes x items, Horner against power table): at
+#: degree 4 the table loses (40 x 500: 0.49 against 0.73 ms), and so it
+#: does for one row (1 x 4096 at degree 16: 0.44 against 0.72 ms); from
+#: degree 8 it wins (40 x 500: 1.01 against 0.54 ms; at degree 16 1.84
+#: against 0.66 ms; 12 x 4096 at degree 22: 6.1 against 2.1 ms), and two
+#: rows break even (2 x 4096 at degree 16: 0.86 against 0.83 ms).  The
+#: top of the range keeps its sums exact.
+_POWER_MIN_ROWS = 2
+_POWER_MIN_DEGREE = 8
+_POWER_MAX_DEGREE = 64
+#: Bound on ``max(rows, degree) * columns`` of one power-table column
+#: block, so its power table and float64 products stay small, near the
+#: size of a Horner accumulator over the block.
+_POWER_BLOCK_CELLS = 1 << 14
+_HALF_BITS = 16
+_HALF_MASK = (1 << _HALF_BITS) - 1
 
 
 def eval_rows(coeffs, ranges, xs, out=None) -> np.ndarray:
@@ -601,39 +627,85 @@ def eval_rows(coeffs, ranges, xs, out=None) -> np.ndarray:
     as a ``(B, degree)`` coefficient matrix with a ``(B, 1)`` column of
     range sizes.
 
-    One Horner pass in :class:`KWiseHash`'s field arithmetic and order
-    of operations, so row ``b`` equals that hash on its own.  Inputs are
-    reduced ``mod p`` first and residues stay below 2^31, so every
-    product fits int64.  ``out``, when given, is a ``(B, len(xs))``
-    int64 buffer that the pass writes into and returns.
+    Row ``b`` equals that hash on its own, bit for bit.  Inputs are
+    reduced ``mod p`` first.  A single hash, or a degree below 8 or
+    above 64, takes one Horner pass in :class:`KWiseHash`'s field
+    arithmetic and order of operations: residues stay below 2^31, so
+    every product fits int64.  Two or more hashes of degree 8 to 64 take
+    :func:`_power_rows`, whose float64 products are exact.  ``out``,
+    when given, is a ``(B, len(xs))`` int64 buffer that the pass writes
+    into and returns.
     """
     xs = np.asarray(xs, dtype=np.int64) % MERSENNE_P
+    rows, degree = coeffs.shape
     acc = (
         out
         if out is not None
-        else np.empty((coeffs.shape[0], len(xs)), dtype=np.int64)
+        else np.empty((rows, len(xs)), dtype=np.int64)
     )
-    acc[:] = coeffs[:, :1]
-    for j in range(1, coeffs.shape[1]):
-        acc *= xs
-        acc += coeffs[:, j : j + 1]
-        acc %= MERSENNE_P
+    if (
+        rows >= _POWER_MIN_ROWS
+        and _POWER_MIN_DEGREE <= degree <= _POWER_MAX_DEGREE
+    ):
+        _power_rows(coeffs, xs, acc)
+    else:
+        acc[:] = coeffs[:, :1]
+        for j in range(1, degree):
+            acc *= xs
+            acc += coeffs[:, j : j + 1]
+            acc %= MERSENNE_P
     acc %= ranges
     return acc
 
 
+def _power_rows(coeffs, xs, out) -> None:
+    """Write ``poly_b(xs[j]) mod p`` into ``out[b, j]`` from a power table.
+
+    With ``d = degree``, row ``b`` is ``sum_i c[b, d-1-i] x^i``.  Each
+    coefficient splits into 16-bit halves ``c = 2^16 hi + lo``, and a
+    column block's ``(d, block)`` table of ``x^i mod p`` turns both half
+    sums into one float64 matrix product each.  A term is below
+    ``2^16 * 2^31``, so with ``d <= 64`` every partial sum is an integer
+    below ``2^53``: exact in float64 in any summation order, with or
+    without FMA.  The row is then ``((S_hi mod p) * 2^16 + S_lo) mod p``
+    in int64, Horner's residue exactly.
+    """
+    rows, degree = coeffs.shape
+    descending = coeffs[:, ::-1]
+    high = (descending >> _HALF_BITS).astype(np.float64)
+    low = (descending & _HALF_MASK).astype(np.float64)
+    width = max(1, _POWER_BLOCK_CELLS // max(rows, degree))
+    powers = np.empty((degree, min(width, len(xs))), dtype=np.int64)
+    for start in range(0, len(xs), width):
+        x = xs[start : start + width]
+        table = powers[:, : len(x)]
+        table[0] = 1
+        table[1] = x
+        for i in range(2, degree):
+            np.multiply(table[i - 1], x, out=table[i])
+            table[i] %= MERSENNE_P
+        table = table.astype(np.float64)
+        block = out[:, start : start + len(x)]
+        np.copyto(block, high @ table, casting="unsafe")
+        block %= MERSENNE_P
+        block <<= _HALF_BITS
+        block += (low @ table).astype(np.int64)
+        block %= MERSENNE_P
+
+
 class KWiseHashBank:
-    """``B`` same-degree :class:`KWiseHash` functions, one Horner pass.
+    """``B`` same-degree :class:`KWiseHash` functions, one
+    :func:`eval_rows` pass.
 
     The multi-branch engines -- universe reduction across all ``z``
     guesses, membership layers across samplers, CountSketch rows --
     each hold many independently seeded hashes of a single degree.
     Stacking the coefficient vectors into a ``(B, degree)`` matrix lets
-    ``degree - 1`` fused multiply-add-mod sweeps over a ``(B, L)``
-    accumulator evaluate *every* function on a whole chunk, instead of
-    ``B`` separate Horner passes with their per-call numpy dispatch
-    overhead.  Outputs are bit-identical to calling each member hash on
-    its own (same field arithmetic, same order of operations).
+    one pass -- ``degree - 1`` fused multiply-add-mod sweeps over a
+    ``(B, L)`` accumulator, or from degree 8 the power-table products --
+    evaluate *every* function on a whole chunk, instead of ``B``
+    separate Horner passes with their per-call numpy dispatch overhead.
+    Outputs are bit-identical to calling each member hash on its own.
 
     Range sizes may differ per member (each universe-reduction branch
     has its own ``z``); only the degree must match.

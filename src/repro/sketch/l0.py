@@ -17,7 +17,11 @@ where ``v_k`` is the ``k``-th smallest normalised hash value.
 :class:`KMVBank` holds many such synopses -- one per row of a small id
 space, each with its own seeded hash -- in a few flat arrays, so a
 caller feeding thousands of ``(row, item)`` pairs per batch pays a fixed
-number of numpy passes instead of one sketch object per row.
+number of numpy passes instead of one sketch object per row.  A caller
+that knows which rows and items it can feed has the bank hash those
+cells once, into an int32 value table that later batches gather from,
+and the bank folds the keys batches keep into its sorted array only when
+they outnumber it, or before a read.
 """
 
 from __future__ import annotations
@@ -31,12 +35,14 @@ from repro.base import (
     StreamingAlgorithm,
     sorted_unique,
 )
+from repro.engine.plan import TABLE_DOMAIN_CAP
 from repro.engine.profile import PROFILER
 from repro.sketch.hashing import (
     MERSENNE_P,
     DeferredCoefficients,
     KWiseHash,
     defer_coefficients,
+    eval_rows,
 )
 
 __all__ = ["L0Sketch", "KMVBank"]
@@ -47,6 +53,9 @@ _VALUE_MASK = (1 << _ROW_SHIFT) - 1
 #: Independence degree of every :class:`KMVBank` row's hash: the
 #: :class:`L0Sketch` default.
 _BANK_DEGREE = 16
+#: A :class:`KMVBank` folds its pending keys once they number more than
+#: this and more than its sorted keys.
+_FOLD_MIN = 1024
 
 
 class L0Sketch(StreamingAlgorithm):
@@ -248,11 +257,17 @@ class KMVBank(DeferredCoefficients):
     -- the row's largest kept value once it is full -- pre-filters items
     that cannot enter.  Every row's hash coefficients sit in a
     ``(rows, 16)`` matrix derived at construction, in the enclosing
-    :func:`~repro.sketch.hashing.coefficient_batch` when there is one,
-    and a batch of items is hashed with one Horner pass over coefficients
-    gathered per item.  KMV keeps the ``k`` smallest distinct values
-    whatever the arrival order or batching, so the bank is bit-identical
-    to the per-row sketches.
+    :func:`~repro.sketch.hashing.coefficient_batch` when there is one.
+
+    A batch of items is hashed with one Horner pass over coefficients
+    gathered per item, or, once :meth:`tabulate` has hashed every cell a
+    caller can feed, gathered from that table.  The keys a batch keeps
+    wait in a pending list and are folded into the sorted keys only when
+    they outnumber them (and at least :data:`_FOLD_MIN` wait), and before
+    every read, merge and scalar insert.  A threshold that is stale
+    until the fold only lets extra keys through, and KMV keeps the ``k``
+    smallest distinct values whatever the arrival order or batching, so
+    the bank is bit-identical to the per-row sketches.
 
     Parameters
     ----------
@@ -273,11 +288,18 @@ class KMVBank(DeferredCoefficients):
         self.sketch_size = int(sketch_size)
         self.seed = int(seed)
         self._keys = np.empty(0, dtype=np.int64)
+        # Kept keys not yet folded into _keys, and their total length.
+        self._pending: list[np.ndarray] = []
+        self._pending_size = 0
         # A value enters row r only below _threshold[r]; no hash value
         # reaches MERSENNE_P, so a row that is not full takes anything.
         self._threshold = np.full(self.rows, MERSENNE_P, dtype=np.int64)
         # The scalar path's per-row hashes, built when a row is first fed.
         self._hashes: dict[int, KWiseHash] = {}
+        # (table, row starts, item slots) from tabulate(): recomputable
+        # from the coefficients, so a speed cache outside the state and
+        # the space model, like the plan's domain tables.
+        self._cells = None
         # (seed + r) & (2^63 - 1), from the seed's low 63 bits: no
         # uint64 overflow for any row count up to 2^32.
         seeds = (
@@ -300,35 +322,85 @@ class KMVBank(DeferredCoefficients):
             self._hashes[row] = hash_
         return hash_
 
-    def insert(self, rows: np.ndarray, items: np.ndarray) -> None:
+    def tabulate(self, rows: np.ndarray, items: np.ndarray) -> bool:
+        """Hash every cell ``(row, item)`` of ``rows x items`` once.
+
+        ``rows`` and ``items`` are duplicate-free int64 ids.
+        One :func:`~repro.sketch.hashing.eval_rows` call fills an
+        ``(len(rows), len(items))`` int32 value table, and int32 slot
+        maps place a row id (at its row's first cell) and an item id (at
+        its column) in it.  Returns whether the table exists: above
+        ``TABLE_DOMAIN_CAP`` cells the bank keeps hashing.  Once it
+        does, :meth:`insert` with ``tabulated=True`` gathers each pair's
+        value, every pair being a cell.
+        """
+        if len(rows) * len(items) > TABLE_DOMAIN_CAP:
+            return False
+        profiling = PROFILER.enabled
+        t0 = PROFILER.clock() if profiling else 0.0
+        table = eval_rows(self._coeffs[rows], MERSENNE_P, items)
+        row_starts = np.zeros(self.rows, dtype=np.int32)
+        row_starts[rows] = np.arange(len(rows)) * len(items)
+        item_slots = np.zeros(int(items.max(initial=-1)) + 1, dtype=np.int32)
+        item_slots[items] = np.arange(len(items))
+        self._cells = (table.astype(np.int32), row_starts, item_slots)
+        if profiling:
+            PROFILER.add("kmv-insert", PROFILER.clock() - t0)
+        return True
+
+    def insert(
+        self, rows: np.ndarray, items: np.ndarray, tabulated: bool = False
+    ) -> None:
         """Feed ``items[j]`` to row ``rows[j]`` for every ``j``.
 
         Both arrays are int64 and of equal length; rows lie in
-        ``[0, rows)``.
+        ``[0, rows)``.  ``tabulated`` promises that every pair is a cell
+        of the last :meth:`tabulate` call, whose table then serves the
+        values when it exists.
         """
         if not len(rows):
             return
         if PROFILER.enabled:
             t0 = PROFILER.clock()
             try:
-                self._insert_now(rows, items)
+                self._insert_now(rows, items, tabulated)
             finally:
-                PROFILER.add("l0-insert", PROFILER.clock() - t0)
+                PROFILER.add("kmv-insert", PROFILER.clock() - t0)
             return
-        self._insert_now(rows, items)
+        self._insert_now(rows, items, tabulated)
 
-    def _insert_now(self, rows, items) -> None:
-        # KWiseHash's Horner recurrence, each item under its own row's
-        # coefficients.  Residues stay below 2^31, so products fit int64.
-        coeffs = self._coeffs[rows].T.copy()
-        xs = items % MERSENNE_P
-        values = coeffs[0]
-        for j in range(1, _BANK_DEGREE):
-            values *= xs
-            values += coeffs[j]
-            values %= MERSENNE_P
+    def _insert_now(self, rows, items, tabulated) -> None:
+        if tabulated and self._cells is not None:
+            table, row_starts, item_slots = self._cells
+            values = table.reshape(-1).take(
+                row_starts.take(rows) + item_slots.take(items)
+            )
+        else:
+            # KWiseHash's Horner recurrence, each item under its own
+            # row's coefficients.  Residues stay below 2^31, so products
+            # fit int64.
+            coeffs = self._coeffs[rows].T.copy()
+            xs = items % MERSENNE_P
+            values = coeffs[0]
+            for j in range(1, _BANK_DEGREE):
+                values *= xs
+                values += coeffs[j]
+                values %= MERSENNE_P
         keep = values < self._threshold[rows]
-        self._absorb((rows[keep] << _ROW_SHIFT) | values[keep])
+        keys = (rows[keep] << _ROW_SHIFT) | values[keep]
+        if not len(keys):
+            return
+        self._pending.append(keys)
+        self._pending_size += len(keys)
+        if self._pending_size > max(len(self._keys), _FOLD_MIN):
+            self._fold()
+
+    def _fold(self) -> None:
+        """Absorb the pending keys into the sorted keys."""
+        if self._pending:
+            pending = self._pending
+            self._pending, self._pending_size = [], 0
+            self._absorb(np.concatenate(pending))
 
     def insert_one(self, row: int, item: int) -> None:
         """Scalar :meth:`insert`, hashing with the row's own
@@ -338,6 +410,7 @@ class KMVBank(DeferredCoefficients):
         a full row shifts its larger values up in place and drops its
         largest, and only a row that is not yet full grows the array.
         """
+        self._fold()
         value = self._row_hash(row)(item)
         if value >= self._threshold[row]:
             return
@@ -372,7 +445,9 @@ class KMVBank(DeferredCoefficients):
         self._threshold[rows[full]] = merged[full] & _VALUE_MASK
 
     def _groups(self):
-        """``(row ids, counts, last positions)`` of the non-empty rows."""
+        """``(row ids, counts, last positions)`` of the non-empty rows,
+        after folding the pending keys."""
+        self._fold()
         rows = self._keys >> _ROW_SHIFT
         if not len(rows):
             empty = np.empty(0, dtype=np.int64)
@@ -406,6 +481,8 @@ class KMVBank(DeferredCoefficients):
             raise MergeIncompatibleError(
                 "can only merge KMV banks with identical rows, size and seed"
             )
+        self._fold()
+        other._fold()
         self._absorb(other._keys)
 
     def state_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -416,7 +493,8 @@ class KMVBank(DeferredCoefficients):
         return ids, counts, self._keys & _VALUE_MASK
 
     def load_state_arrays(self, ids, counts, values) -> None:
-        """Restore :meth:`state_arrays`; ``ValueError`` on malformed input."""
+        """Restore :meth:`state_arrays`, dropping any pending keys;
+        ``ValueError`` on malformed input."""
         arrays = {"ids": ids, "counts": counts, "values": values}
         for name, array in arrays.items():
             array = np.asarray(array)
@@ -450,6 +528,7 @@ class KMVBank(DeferredCoefficients):
         if np.any(keys[1:] <= keys[:-1]):
             raise ValueError("KMV bank row values must strictly increase")
         self._keys = keys
+        self._pending, self._pending_size = [], 0
         self._threshold[:] = MERSENNE_P
         ends = np.cumsum(counts) - 1
         full = counts == self.sketch_size

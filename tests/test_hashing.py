@@ -61,6 +61,25 @@ class TestKWiseHash:
         h = KWiseHash(50, degree=4, seed=9)
         assert h(np.int64(12345)) == h(12345)
 
+    @pytest.mark.parametrize(
+        "x",
+        (
+            np.arange(12).reshape(3, 4),
+            [5, 6, 7],
+            np.asarray(12345),
+            np.empty((0, 2), dtype=np.int64),
+        ),
+        ids=("2-d", "list", "0-d", "empty"),
+    )
+    def test_array_call_keeps_the_input_shape(self, x):
+        h = KWiseHash(97, degree=8, seed=3)
+        values = h(x)
+        assert np.shape(values) == np.shape(x)
+        assert np.asarray(values).dtype == np.int64
+        assert np.asarray(values).ravel().tolist() == [
+            h(int(item)) for item in np.ravel(x)
+        ]
+
     def test_roughly_uniform(self):
         h = KWiseHash(10, degree=4, seed=5)
         counts = np.bincount(h(np.arange(20000)), minlength=10)
@@ -128,6 +147,111 @@ class TestKWiseHashBank:
         assert rows is out
         self._assert_rows_match(rows)
         assert (wide[:, len(self.XS) :] == -1).all()
+
+
+def _horner_rows(coeffs, ranges, xs):
+    """The Horner pass every hash row is defined by, written out."""
+    xs = np.asarray(xs, dtype=np.int64) % MERSENNE_P
+    acc = np.empty((coeffs.shape[0], len(xs)), dtype=np.int64)
+    acc[:] = coeffs[:, :1]
+    for j in range(1, coeffs.shape[1]):
+        acc *= xs
+        acc += coeffs[:, j : j + 1]
+        acc %= MERSENNE_P
+    return acc % ranges
+
+
+class TestPowerTableKernel:
+    """``eval_rows``'s power-table path equals Horner bit for bit, and
+    only stacks of degree 8 to 64 take it."""
+
+    # Inputs at the field's edges and beyond it, reduced mod p first.
+    EDGES = np.array(
+        [0, 1, MERSENNE_P - 1, MERSENNE_P, 2**31, 2**62], dtype=np.int64
+    )
+
+    @staticmethod
+    def _inputs(rows, degree, items, seed=0):
+        rng = np.random.default_rng(seed)
+        coeffs = rng.integers(0, MERSENNE_P, size=(rows, degree))
+        xs = np.concatenate(
+            (
+                TestPowerTableKernel.EDGES,
+                rng.integers(0, 2**62, size=items),
+            )
+        )
+        return coeffs, xs
+
+    @pytest.fixture
+    def spy(self, monkeypatch):
+        calls = []
+        power_rows = hashing._power_rows
+
+        def spying(coeffs, xs, out):
+            calls.append(coeffs.shape)
+            return power_rows(coeffs, xs, out)
+
+        monkeypatch.setattr(hashing, "_power_rows", spying)
+        return calls
+
+    @pytest.mark.parametrize("degree", (8, 12, 16, 22, 64))
+    def test_random_coefficients(self, spy, degree):
+        coeffs, xs = self._inputs(7, degree, 300, seed=degree)
+        ranges = np.asarray([1, 2, 17, 1000, 1 << 20, MERSENNE_P - 1,
+                             MERSENNE_P])[:, None]
+        values = hashing.eval_rows(coeffs, ranges, xs)
+        assert spy == [(7, degree)]
+        assert values.dtype == np.int64
+        assert np.array_equal(values, _horner_rows(coeffs, ranges, xs))
+
+    @pytest.mark.parametrize("degree", (8, 64))
+    @pytest.mark.parametrize("range_size", (1, 2, MERSENNE_P))
+    def test_largest_coefficients(self, spy, degree, range_size):
+        # Every coefficient p - 1: the half sums reach their bound.
+        coeffs = np.full((3, degree), MERSENNE_P - 1, dtype=np.int64)
+        _coeffs, xs = self._inputs(1, 1, 500, seed=1)
+        values = hashing.eval_rows(coeffs, range_size, xs)
+        assert spy == [(3, degree)]
+        assert np.array_equal(values, _horner_rows(coeffs, range_size, xs))
+
+    def test_matches_member_hashes_at_the_edges(self):
+        hashes = [KWiseHash(MERSENNE_P, degree=16, seed=s) for s in range(4)]
+        values = KWiseHashBank(hashes).eval_many(self.EDGES)
+        for row, h in zip(values, hashes):
+            assert row.tolist() == [h(int(x)) for x in self.EDGES]
+
+    def test_out_buffer_over_several_blocks(self, spy):
+        coeffs, xs = self._inputs(5, 16, 5000, seed=2)
+        ranges = np.asarray([3, 1, 1 << 16, MERSENNE_P, 2])[:, None]
+        width = hashing._POWER_BLOCK_CELLS // 16
+        assert len(xs) > 4 * width
+        wide = np.full((5, len(xs) + 3), -1, dtype=np.int64)
+        out = wide[:, : len(xs)]
+        values = hashing.eval_rows(coeffs, ranges, xs, out=out)
+        assert values is out
+        assert spy == [(5, 16)]
+        assert np.array_equal(out, _horner_rows(coeffs, ranges, xs))
+        assert (wide[:, len(xs) :] == -1).all()
+
+    def test_one_column_blocks(self, spy, monkeypatch):
+        monkeypatch.setattr(hashing, "_POWER_BLOCK_CELLS", 1)
+        coeffs, xs = self._inputs(2, 9, 20, seed=3)
+        values = hashing.eval_rows(coeffs, MERSENNE_P, xs)
+        assert np.array_equal(values, _horner_rows(coeffs, MERSENNE_P, xs))
+
+    def test_empty_input(self, spy):
+        coeffs, _xs = self._inputs(3, 16, 0)
+        values = hashing.eval_rows(coeffs, 5, np.empty(0, dtype=np.int64))
+        assert values.shape == (3, 0)
+
+    @pytest.mark.parametrize(
+        "rows, degree", ((40, 4), (4, 7), (4, 65), (1, 16), (1, 64))
+    )
+    def test_other_shapes_take_horner(self, spy, rows, degree):
+        coeffs, xs = self._inputs(rows, degree, 100, seed=4)
+        values = hashing.eval_rows(coeffs, 1000, xs)
+        assert spy == []
+        assert np.array_equal(values, _horner_rows(coeffs, 1000, xs))
 
 
 class TestSignHash:

@@ -1,7 +1,8 @@
 """The array-backed ingest state against its per-object references.
 
 ``LargeSetRun`` keeps its case-2b ``L_0`` sketches as rows of one
-:class:`~repro.sketch.l0.KMVBank`, ``F2Contributing`` keeps its levels
+:class:`~repro.sketch.l0.KMVBank`, which gathers its hash values from a
+table and folds its keys lazily, ``F2Contributing`` keeps its levels
 as one bank of arrays, and ``SmallSetRun`` appends packed edge arrays
 that it deduplicates lazily.  Each must hold exactly what the
 per-superset ``L0Sketch``, the per-level ``SampledSet`` and
@@ -22,11 +23,11 @@ from repro.core.large_set import _L0_SIZE, LargeSetOutcome
 from repro.core.oracle import Oracle
 from repro.core.parameters import Parameters
 from repro.core.small_set import SmallSet
-from repro.sketch import contributing, countsketch
+from repro.sketch import contributing, countsketch, l0
 from repro.sketch.contributing import ContributingCoordinate, F2Contributing
 from repro.sketch.countsketch import F2HeavyHitter
-from repro.sketch.hashing import SampledSet
-from repro.sketch.l0 import L0Sketch
+from repro.sketch.hashing import MERSENNE_P, SampledSet
+from repro.sketch.l0 import KMVBank, L0Sketch
 from repro.sketch.serialize import dumps_state, loads_state
 from repro.streams.generators import planted_cover
 
@@ -97,6 +98,13 @@ def _assert_rows_match(oracle, set_ids, elements):
             assert estimate == sketch.peek_estimate()
 
 
+def _assert_tabulated(oracle):
+    """Every run's KMV bank gathered its values from a table."""
+    for run in oracle._large_set._runs:
+        assert run._l0_tabulated
+        assert run._l0._cells is not None
+
+
 class TestKMVBankReference:
     """Every bank row is the sorted heap of the superset's own sketch."""
 
@@ -108,6 +116,7 @@ class TestKMVBankReference:
         oracle = _feed(
             _large_set_oracle(planted_workload), set_ids, elements, chunk_size
         )
+        _assert_tabulated(oracle)
         _assert_rows_match(oracle, set_ids, elements)
 
     def test_rows_after_two_shard_merge(self, planted_workload, planted_stream):
@@ -122,6 +131,7 @@ class TestKMVBankReference:
             set_ids[cut:], elements[cut:], 64,
         )
         left.merge(right)
+        _assert_tabulated(left)
         _assert_rows_match(left, set_ids, elements)
 
     def test_rows_after_mid_pass_round_trip(
@@ -137,6 +147,7 @@ class TestKMVBankReference:
             _large_set_oracle(planted_workload), dumps_state(first)
         )
         _feed(resumed, set_ids[cut:], elements[cut:], 64)
+        _assert_tabulated(resumed)
         _assert_rows_match(resumed, set_ids, elements)
 
     def test_sampled_l0_ties_go_to_the_smallest_sid(self, planted_workload):
@@ -150,6 +161,124 @@ class TestKMVBankReference:
         run.load_state_arrays(state)
         outcome = run.peek_outcome()
         assert (outcome.case, outcome.superset_id) == ("sampled-l0", 3)
+
+
+class TestKMVTable:
+    """The case-2b value table and the lazy fold keep the bank exact.
+
+    A tabulated bank gathers what a hashing bank computes per pair and
+    the scalar path per item; pending keys fold before every read."""
+
+    ROWS, SIZE, SEED = 120, 8, 3
+
+    @classmethod
+    def _pairs(cls, count, seed=0):
+        """``(rows, items, pair rows, pair items)``: 30 of the rows and
+        400 items, and ``count`` pairs drawn from them with repeats."""
+        rng = np.random.default_rng(seed)
+        rows = np.sort(rng.choice(cls.ROWS, 30, replace=False))
+        items = np.sort(rng.choice(2000, 400, replace=False))
+        return rows, items, rng.choice(rows, count), rng.choice(items, count)
+
+    def _bank(self):
+        return KMVBank(self.ROWS, self.SIZE, self.SEED)
+
+    @pytest.mark.parametrize("chunk_size", (1, 7, 64, 8192))
+    def test_tabulated_hashed_and_scalar_banks_agree(self, chunk_size):
+        rows, items, pair_rows, pair_items = self._pairs(3000)
+        tabulated, lazy, hashed, scalar = (self._bank() for _ in range(4))
+        assert tabulated.tabulate(rows, items)
+        assert lazy.tabulate(rows, items)
+        assert tabulated._cells[0].shape == (len(rows), len(items))
+        for lo in range(0, len(pair_rows), chunk_size):
+            chunk_rows = pair_rows[lo : lo + chunk_size]
+            chunk_items = pair_items[lo : lo + chunk_size]
+            tabulated.insert(chunk_rows, chunk_items, tabulated=True)
+            lazy.insert(chunk_rows, chunk_items, tabulated=True)
+            hashed.insert(chunk_rows, chunk_items)
+            for row, item in zip(chunk_rows.tolist(), chunk_items.tolist()):
+                scalar.insert_one(row, item)
+            for bank in (tabulated, hashed):
+                bank._fold()
+                assert np.array_equal(bank._keys, scalar._keys)
+                assert np.array_equal(bank._threshold, scalar._threshold)
+        # Every row filled up, so the thresholds filtered.
+        assert (scalar._threshold[rows] < MERSENNE_P).all()
+        # Read only now: folded on the bank's own schedule.
+        for mine, ref in zip(lazy.state_arrays(), scalar.state_arrays()):
+            assert np.array_equal(mine, ref)
+        assert np.array_equal(lazy._threshold, scalar._threshold)
+
+    def _pending_bank(self, seed=0):
+        """``(bank, reference)``: the same pairs, the bank with keys
+        still pending and the reference folded."""
+        _rows, _items, pair_rows, pair_items = self._pairs(600, seed)
+        bank, reference = self._bank(), self._bank()
+        bank.insert(pair_rows[:300], pair_items[:300])
+        bank._fold()
+        bank.insert(pair_rows[300:], pair_items[300:])
+        assert bank._pending
+        reference.insert(pair_rows, pair_items)
+        reference._fold()
+        return bank, reference
+
+    @pytest.mark.parametrize(
+        "read",
+        (
+            lambda bank: bank.estimates(),
+            lambda bank: bank.state_arrays(),
+            lambda bank: (bank.space_words(),),
+            lambda bank: bank.insert_one(5, 7) or bank.state_arrays(),
+        ),
+        ids=("estimates", "state_arrays", "space_words", "insert_one"),
+    )
+    def test_reads_fold_first(self, read):
+        bank, reference = self._pending_bank()
+        for mine, ref in zip(read(bank), read(reference)):
+            assert np.array_equal(mine, ref)
+        assert not bank._pending and bank._pending_size == 0
+        assert np.array_equal(bank._threshold, reference._threshold)
+
+    def test_merge_folds_both_sides(self):
+        left, left_ref = self._pending_bank(seed=1)
+        right, right_ref = self._pending_bank(seed=2)
+        left.merge(right)
+        left_ref.merge(right_ref)
+        assert not left._pending and not right._pending
+        for mine, ref in zip(left.state_arrays(), left_ref.state_arrays()):
+            assert np.array_equal(mine, ref)
+        assert np.array_equal(left._threshold, left_ref._threshold)
+
+    def test_load_drops_pending_keys(self):
+        bank, _reference = self._pending_bank(seed=1)
+        other, _ = self._pending_bank(seed=2)
+        state = other.state_arrays()
+        bank.load_state_arrays(*state)
+        assert not bank._pending and bank._pending_size == 0
+        for mine, ref in zip(bank.state_arrays(), state):
+            assert np.array_equal(mine, ref)
+        assert np.array_equal(bank._threshold, other._threshold)
+
+    def test_capped_table_falls_back_to_hashing(
+        self, planted_workload, planted_stream, monkeypatch
+    ):
+        set_ids, elements = planted_stream.as_arrays()
+        tabulated = _feed(
+            _large_set_oracle(planted_workload), set_ids, elements, 64
+        )
+        _assert_tabulated(tabulated)
+        runs = tabulated._large_set._runs
+        cells = min(run._l0._cells[0].size for run in runs)
+        monkeypatch.setattr(l0, "TABLE_DOMAIN_CAP", cells - 1)
+        hashed = _feed(
+            _large_set_oracle(planted_workload), set_ids, elements, 64
+        )
+        for mine, ref in zip(hashed._large_set._runs, runs):
+            assert mine._l0_tabulated is False
+            assert mine._l0._cells is None
+            assert _bank_rows(mine) == _bank_rows(ref)
+            assert np.array_equal(mine._l0._threshold, ref._l0._threshold)
+        _assert_rows_match(hashed, set_ids, elements)
 
 
 def _reference_levels(detector, seed):
@@ -378,11 +507,11 @@ def _reachable(obj) -> list:
     return found
 
 
-def _quick_reference_pass():
+def _quick_reference_pass(alpha=4):
     """The e2e ``--quick`` reference shape, seed 7, after its pass."""
     planted = planted_cover(n=1000, m=200, k=10, coverage_frac=0.9, seed=99)
     stream = EdgeStream.from_system(planted.system, order="random", seed=2)
-    algo = EstimateMaxCover(m=200, n=1000, k=10, alpha=4, seed=7)
+    algo = EstimateMaxCover(m=200, n=1000, k=10, alpha=alpha, seed=7)
     StreamRunner(chunk_size=4096).run(algo, stream)
     return algo
 
@@ -440,6 +569,22 @@ class TestCompactMemory:
         assert peak < full_bytes
         assert algo.space_words() == self.SPACE_WORDS
         assert algo.estimate() == 428.0
+
+    #: Cells of the runs' KMV value tables: alpha 4 is this shape,
+    #: alpha 16 the e2e ``high_alpha`` workload's ``--quick`` shape.
+    @pytest.mark.parametrize("alpha, cells", ((4, 47_375), (16, 185_000)))
+    def test_kmv_tables_are_int32(self, alpha, cells):
+        algo = _quick_reference_pass(alpha)
+        banks = [
+            run._l0
+            for _z, _reducer, oracle in algo._branches
+            for run in oracle._large_set._runs
+        ]
+        assert all(bank._cells is not None for bank in banks)
+        for table, row_starts, item_slots in (bank._cells for bank in banks):
+            assert table.dtype == np.int32
+            assert row_starts.dtype == item_slots.dtype == np.int32
+        assert sum(bank._cells[0].size for bank in banks) == cells
 
     def test_no_per_level_objects(self):
         algo = _quick_reference_pass()

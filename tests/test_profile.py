@@ -8,7 +8,8 @@ accounting rules the report relies on:
   totals stay at or below the pass's wall clock;
 * instrumented call sites actually fire -- a profiled planned pass
   reports the ``plan-build`` / ``hash-eval`` / ``horner`` / ``layout``
-  / ``scatter`` categories it advertises.
+  / ``scatter`` / ``kmv-insert`` / ``l0-insert`` categories it
+  advertises.
 """
 
 import time
@@ -23,6 +24,7 @@ from repro.engine.plan import EvalPlan
 from repro.engine.profile import PROFILER, KernelProfiler
 from repro.sketch.countsketch import CountSketch
 from repro.sketch.hashing import KWiseHash
+from repro.sketch.l0 import KMVBank, L0Sketch
 from repro.streams.edge_stream import EdgeStream
 from repro.streams.generators import planted_cover
 
@@ -242,3 +244,46 @@ class TestInstrumentedSites:
         layout = PROFILER.snapshot()["layout"]
         assert layout["calls"] == builds
         assert 0.0 < layout["seconds"] <= report.seconds
+
+    def test_profiled_pass_splits_kmv_from_l0_inserts(self, monkeypatch):
+        # LargeSet's case-2b bank is credited to kmv-insert, its inserts
+        # and its table builds; l0-insert is LargeCommon's L0Sketch.
+        counts = {"insert": 0, "tabulate": 0, "l0": 0}
+
+        def counting(method, name, nonempty=False):
+            def wrapper(self, *args):
+                counts[name] += not nonempty or bool(len(args[0]))
+                return method(self, *args)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            KMVBank, "insert", counting(KMVBank.insert, "insert", True)
+        )
+        monkeypatch.setattr(
+            KMVBank, "tabulate", counting(KMVBank.tabulate, "tabulate")
+        )
+        monkeypatch.setattr(
+            L0Sketch, "_ingest_hashed", counting(L0Sketch._ingest_hashed, "l0")
+        )
+        workload = planted_cover(800, 120, 6, seed=3)
+        stream = EdgeStream.from_system(
+            workload.system, order="random", seed=4
+        )
+        algo = EstimateMaxCover(
+            m=stream.m, n=stream.n, k=6, alpha=4.0, seed=0
+        )
+        PROFILER.start()
+        report = StreamRunner(chunk_size=1024).run(algo, stream)
+        PROFILER.stop()
+        tables = sum(
+            run._l0._cells is not None
+            for _z, _reducer, oracle in algo._branches
+            for run in oracle._large_set._runs
+        )
+        assert 0 < tables == counts["tabulate"]
+        snap = PROFILER.snapshot()
+        assert snap["kmv-insert"]["calls"] == counts["insert"] + tables
+        assert snap["l0-insert"]["calls"] == counts["l0"] > 0
+        for name in ("kmv-insert", "l0-insert"):
+            assert 0.0 < snap[name]["seconds"] <= report.seconds
