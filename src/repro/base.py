@@ -173,19 +173,22 @@ class StreamingAlgorithm(abc.ABC):
         for row in zip(*columns):
             self._process(*(int(x) for x in row))
 
-    def _ingest_planned(self, set_ids, elements, ctx) -> None:
+    def _ingest_planned(self, set_ids, elements, ctx):
         """Feed a chunk together with its fused-evaluation context.
 
         The internal fan-out path: composite roots that built an
         :class:`repro.engine.plan.EvalPlan` hand each consumer the
         per-chunk :class:`~repro.engine.plan.ChunkContext` so registered
-        hash families are evaluated once and shared.
+        hash families are evaluated once and shared.  Returns what
+        :meth:`_process_planned` returns, so a composite can collect
+        its children's chunk results (``LargeSet`` gathers its runs'
+        superset-id counts for one scatter).
         """
         self._check_open()
         self._tokens_seen += len(set_ids)
-        self._process_planned(set_ids, elements, ctx)
+        return self._process_planned(set_ids, elements, ctx)
 
-    def _process_planned(self, set_ids, elements, ctx) -> None:
+    def _process_planned(self, set_ids, elements, ctx):
         """Planned batch kernel; defaults to the leaf batch kernel."""
         self._process_batch(set_ids, elements)
 

@@ -53,7 +53,7 @@ from repro.base import (
 )
 from repro.core.parameters import Parameters
 from repro.engine.profile import PROFILER
-from repro.sketch.contributing import F2Contributing
+from repro.sketch.contributing import ContributingBank, F2Contributing
 from repro.sketch.element_sampling import ElementSampler
 from repro.sketch.hashing import (
     KWiseHash,
@@ -101,19 +101,25 @@ class LargeSetRun(StreamingAlgorithm):
     (Figure 4): every element is inspected, which is the Section 4.2
     simplification valid when ``U^cmn_w`` is empty.
 
-    Ingest state is array-backed: each ``F2Contributing`` is a bank of
+    Ingest state is array-backed: each ``F2Contributing`` is a set of
     arrays, coefficients and one stacked counter table holding only the
     counters the superset domain reaches (``space_words`` still charges
     the full tables), and the case-2b ``L_0`` sketches of the sampled
     supersets are the rows of one :class:`~repro.sketch.l0.KMVBank`
     (superset ``i`` hashes with seed ``(l0_seed + i) & (2**63 - 1)``).
-    The planned path has the bank tabulate the values of every
+    The planned path has the KMV bank tabulate the values of every
     (sampled superset, sampled element) cell at its first chunk (see
     :meth:`_tabulate_l0`), a cache like the plan's domain tables, so no
     chunk hashes a pair.  Both are linear or order-free, so scalar,
-    batched, planned and merged runs hold the same state.  Finalisation
-    scores each detector's levels in one pass and reads only its top
-    entry.
+    batched, planned and merged runs hold the same state.
+
+    A chunk counts its superset ids once, with one ``bincount``; the
+    detectors take those counts through a
+    :class:`~repro.sketch.contributing.ContributingBank`.  Inside a
+    :class:`LargeSet` the batch and planned kernels hand the counts up,
+    and the LargeSet scatters every run's at once; a standalone run
+    banks its two detectors itself.  Finalisation reads only each
+    detector's top entry, from one scoring pass of the bank.
 
     Parameters
     ----------
@@ -209,16 +215,38 @@ class LargeSetRun(StreamingAlgorithm):
             self._l0.insert_one(sid, element)
 
     def _process_batch(self, set_ids, elements) -> None:
+        counts = self._batch_counts(set_ids, elements)
+        if counts is None:
+            return
+        bank = self._detector_bank()
+        total = int(counts.sum())
+        bank.ingest(
+            np.stack((counts, counts)),
+            (total, total),
+            bank.index(self._cntr_small),
+        )
+
+    def _detector_bank(self) -> ContributingBank:
+        """The bank holding both detectors: the LargeSet's, or for a
+        standalone run a bank of the two, made at first use."""
+        bank = self._cntr_small._bank
+        if bank is None or bank is not self._cntr_large._bank:
+            bank = ContributingBank((self._cntr_small, self._cntr_large))
+        return bank
+
+    def _batch_counts(self, set_ids, elements):
+        """The element-sampling filter, then :meth:`_ingest_sampled`."""
         sampler = self.element_sampler
         if sampler is not None:
             mask = sampler._membership.contains_many(elements)
             if not mask.any():
-                return
+                return None
             set_ids, elements = set_ids[mask], elements[mask]
-        self._ingest_sampled(set_ids, elements)
+        return self._ingest_sampled(set_ids, elements)
 
-    def _ingest_presampled(self, set_ids, elements, total_tokens: int) -> None:
-        """Feed a chunk whose element-sampling filter was applied upstream.
+    def _ingest_presampled(self, set_ids, elements, total_tokens: int):
+        """Feed a chunk whose element-sampling filter was applied
+        upstream; the chunk's superset-id counts for the LargeSet's bank.
 
         ``LargeSet`` decides every run's keep-mask with one stacked
         hash pass and hands each run only its surviving rows;
@@ -227,23 +255,25 @@ class LargeSetRun(StreamingAlgorithm):
         """
         self._check_open()
         self._tokens_seen += total_tokens
-        self._ingest_sampled(set_ids, elements)
+        return self._ingest_sampled(set_ids, elements)
 
-    def _ingest_sampled(self, set_ids, elements) -> None:
-        """Batch kernel downstream of element sampling.
+    def _ingest_sampled(self, set_ids, elements):
+        """Batch kernel downstream of element sampling; the chunk's
+        superset-id counts, ``None`` for an empty chunk.
 
-        :meth:`_process_batch` is the standalone entry that filters for
-        itself; :meth:`_ingest_presampled` arrives here already masked.
+        :meth:`_batch_counts` filters for itself;
+        :meth:`_ingest_presampled` arrives here already masked.
         """
         if not len(elements):
-            return
+            return None
         sids = self._partition(set_ids)
-        self._ingest_sids(
+        return self._ingest_sids(
             sids, elements, self._superset_sampler.contains_many(sids)
         )
 
-    def _ingest_sids(self, sids, elements, sampled, tabulated=False) -> None:
-        """Feed superset ids to every consumer.
+    def _ingest_sids(self, sids, elements, sampled, tabulated=False):
+        """Feed superset ids to the KMV bank; their counts for the
+        detectors.
 
         One ``bincount`` over the superset domain counts the chunk's
         ids for both contributing detectors; the KMV bank takes the
@@ -256,12 +286,11 @@ class LargeSetRun(StreamingAlgorithm):
         counts = np.bincount(sids, minlength=self.num_supersets)
         if profiling:
             PROFILER.add("group-split", PROFILER.clock() - t0)
-        self._cntr_small.ingest_grouped(counts, len(sids))
-        self._cntr_large.ingest_grouped(counts, len(sids))
         if sampled is None:
             self._l0.insert(sids, elements, tabulated)
         elif sampled.any():
             self._l0.insert(sids[sampled], elements[sampled], tabulated)
+        return counts
 
     # -- fused-plan hooks ---------------------------------------------------
 
@@ -278,8 +307,10 @@ class LargeSetRun(StreamingAlgorithm):
         sid_col, self._partition_slot = plan.derive(set_col, self._partition)
         self._ss_slot = plan.request_mask(sid_col, self._superset_sampler)
 
-    def _process_planned(self, set_ids, elements, ctx) -> None:
-        """Planned kernel: plan-served sids and sampler masks.
+    def _process_planned(self, set_ids, elements, ctx):
+        """Planned kernel: plan-served sids and sampler masks; the
+        chunk's superset-id counts for the LargeSet's bank, ``None``
+        when no element survived the sample.
 
         The superset-id column is gathered from the plan's partition
         table and the superset sampler's mask from its domain table;
@@ -289,19 +320,18 @@ class LargeSetRun(StreamingAlgorithm):
         ``_process_batch(set_ids, elements)``.
         """
         if self._partition_slot is None:
-            self._process_batch(set_ids, elements)
-            return
+            return self._batch_counts(set_ids, elements)
         slot = self._elem_slot
         if slot is not None:
             mask = ctx.mask(slot)
             if not mask.any():
-                return
+                return None
             sids = ctx.values(self._partition_slot)[mask]
             elements = elements[mask]
         else:
             sids = ctx.values(self._partition_slot)
             if not len(sids):
-                return
+                return None
         ss_slot = self._ss_slot
         if ss_slot.trivial:
             sampled = None
@@ -314,7 +344,7 @@ class LargeSetRun(StreamingAlgorithm):
             )
         if self._l0_tabulated is None:
             self._l0_tabulated = self._tabulate_l0()
-        self._ingest_sids(sids, elements, sampled, self._l0_tabulated)
+        return self._ingest_sids(sids, elements, sampled, self._l0_tabulated)
 
     def _tabulate_l0(self) -> bool:
         """Have the KMV bank hash every cell a planned chunk can feed it,
@@ -428,6 +458,12 @@ class LargeSetRun(StreamingAlgorithm):
 
     def peek_outcome(self) -> LargeSetOutcome | None:
         """Mid-stream snapshot of :meth:`outcome` (no finalise)."""
+        bank = self._detector_bank()
+        first = bank.index(self._cntr_small)
+        return self._outcome(*bank.tops(first, first + 2))
+
+    def _outcome(self, top_small, top_large) -> LargeSetOutcome | None:
+        """:meth:`peek_outcome` from the detectors' top entries."""
         p = self.params
         thr1, thr2 = self.thresholds()
         best: LargeSetOutcome | None = None
@@ -441,11 +477,10 @@ class LargeSetRun(StreamingAlgorithm):
         # value grows with the frequency, so its first entry is the only
         # one that can win: the first of any tie, and if it misses the
         # threshold every other entry does.
-        for detector, threshold, case in (
-            (self._cntr_small, thr1, "contributing-small"),
-            (self._cntr_large, thr2, "contributing-large"),
+        for top, threshold, case in (
+            (top_small, thr1, "contributing-small"),
+            (top_large, thr2, "contributing-large"),
         ):
-            top = detector.peek_top()
             if top is not None and top.frequency >= 0.5 * threshold:
                 consider(
                     LargeSetOutcome(
@@ -543,6 +578,13 @@ class LargeSet(StreamingAlgorithm):
         self._sampler_bank = SampledSetBank(
             [run.element_sampler._membership for run in self._runs]
         )
+        # All runs' detectors, small then large per run, in one bank:
+        # laid out, scattered and scored as one array.
+        self._bank = ContributingBank(
+            detector
+            for run in self._runs
+            for detector in (run._cntr_small, run._cntr_large)
+        )
 
     def _process(self, set_id, element) -> None:
         for run in self._runs:
@@ -550,16 +592,38 @@ class LargeSet(StreamingAlgorithm):
 
     def _process_batch(self, set_ids, elements) -> None:
         masks = self._sampler_bank.contains_matrix(elements)
-        for run, mask in zip(self._runs, masks):
-            run._ingest_presampled(set_ids[mask], elements[mask], len(elements))
+        self._ingest_counts(
+            [
+                run._ingest_presampled(
+                    set_ids[mask], elements[mask], len(elements)
+                )
+                for run, mask in zip(self._runs, masks)
+            ]
+        )
 
     def _register_plan(self, plan, set_col, elem_col) -> None:
         for run in self._runs:
             run._register_plan(plan, set_col, elem_col)
 
     def _process_planned(self, set_ids, elements, ctx) -> None:
-        for run in self._runs:
-            run._ingest_planned(set_ids, elements, ctx)
+        self._ingest_counts(
+            [run._ingest_planned(set_ids, elements, ctx) for run in self._runs]
+        )
+
+    def _ingest_counts(self, runs) -> None:
+        """One bank scatter of the runs' chunk counts (``None`` for a run
+        whose sample kept no token).  A run's counts feed both its
+        detectors and advance their token counts by its surviving
+        tokens."""
+        if all(counts is None for counts in runs):
+            return
+        rows = np.zeros(
+            (len(self._bank), self._runs[0].num_supersets), dtype=np.int64
+        )
+        for index, counts in enumerate(runs):
+            if counts is not None:
+                rows[2 * index : 2 * index + 2] = counts
+        self._bank.ingest(rows, rows.sum(axis=1))
 
     def best_outcome(self) -> tuple[LargeSetOutcome, LargeSetRun] | None:
         """The winning ``(outcome, run)`` across runs, scaled comparison
@@ -570,10 +634,14 @@ class LargeSet(StreamingAlgorithm):
         return self.peek_best_outcome()
 
     def peek_best_outcome(self) -> tuple[LargeSetOutcome, LargeSetRun] | None:
-        """Mid-stream snapshot of :meth:`best_outcome` (no finalise)."""
+        """Mid-stream snapshot of :meth:`best_outcome` (no finalise).
+
+        One scoring pass of the bank gives every run its detectors' top
+        entries."""
         best: tuple[LargeSetOutcome, LargeSetRun] | None = None
-        for run in self._runs:
-            out = run.peek_outcome()
+        tops = self._bank.tops()
+        for run, small, large in zip(self._runs, tops[0::2], tops[1::2]):
+            out = run._outcome(small, large)
             if out is None:
                 continue
             if best is None or out.value_on_sample > best[0].value_on_sample:

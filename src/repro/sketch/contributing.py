@@ -27,12 +27,15 @@ and sign hash is the one a standalone
 :class:`~repro.sketch.hashing.SampledSet` and
 :class:`~repro.sketch.countsketch.F2HeavyHitter` with the level's seed
 would draw, and the seeds come from the same generators, derived in
-bulk inside a :func:`~repro.sketch.hashing.coefficient_batch`.  The
-cell and sign of every ``(level, row, coordinate)`` are worked out
-once, at the first chunk, load or score, so a chunk's whole-domain id
-counts (:meth:`F2Contributing.ingest_grouped`) update every level with
-one scatter, and finalisation scores every level and coordinate with
-one gather and one median.  CountSketch is linear, so the bank equals
+bulk inside a :func:`~repro.sketch.hashing.coefficient_batch`.
+
+Detectors over one domain share a :class:`ContributingBank`: ``LargeSet``
+puts all its runs' detectors in one, a standalone ``LargeSetRun`` its
+two, and any other detector is a bank of one.  The bank lays out every
+member's rows with one hash pass over the domain, updates every member
+with one scatter per chunk and scores every member with one gather and
+one median, and each member's counters, token counts and layout are
+views of the bank's arrays.  CountSketch is linear, so the bank equals
 the per-level sketches bit for bit: state, merges, reports and
 ``space_words`` included.  Without a domain each level keeps its own
 ``F2HeavyHitter`` with an online candidate pool.
@@ -75,11 +78,11 @@ from repro.sketch.hashing import (
     same_sampled_set,
 )
 
-__all__ = ["ContributingCoordinate", "F2Contributing"]
+__all__ = ["ContributingBank", "ContributingCoordinate", "F2Contributing"]
 
-#: A chunk presenting at least ``1 / _DENSE_SHARE`` of the domain
-#: applies every precomputed ``(cell, coordinate, sign)`` term, absent
-#: coordinates adding 0; sparser chunks gather the present
+#: A chunk presenting at least ``1 / _DENSE_SHARE`` of the domain to a
+#: whole bank applies every precomputed ``(cell, count index)`` term,
+#: absent coordinates adding 0; sparser chunks gather the present
 #: coordinates' columns.  Measured on a 2-CPU host, per detector and
 #: chunk: 170 of 200 coordinates present, 16 us for the terms against
 #: 64 us for the gather; 26 of 1,000 present, 84 us against 28 us.
@@ -136,14 +139,13 @@ class F2Contributing(DeferredCoefficients, StreamingAlgorithm):
         CountSketch depth of every level's heavy-hitter sketch.
     domain:
         Size of the coordinate space when the caller knows it (the
-        ``LargeSet`` superset ids).  The levels are then one array bank
-        (see the module docstring) that holds only the counters the
-        domain reaches, updated by :meth:`ingest_grouped` in a single
-        scatter and scored whole at finalise; above
-        ``TABLE_DOMAIN_CAP`` the bank holds full ``(depth, width)``
-        tables and every chunk is hashed.  ``None`` keeps a
-        :class:`~repro.sketch.countsketch.F2HeavyHitter` with an online
-        candidate pool per level.
+        ``LargeSet`` superset ids).  The levels are then arrays (see the
+        module docstring) holding only the counters the domain reaches,
+        updated, laid out and scored by the detector's
+        :class:`ContributingBank`; above ``TABLE_DOMAIN_CAP`` they hold
+        full ``(depth, width)`` tables and every chunk is hashed.
+        ``None`` keeps a :class:`~repro.sketch.countsketch.F2HeavyHitter`
+        with an online candidate pool per level.
     """
 
     _FILLED = ("_sampler_coeffs", "_row_coeffs")
@@ -200,14 +202,17 @@ class F2Contributing(DeferredCoefficients, StreamingAlgorithm):
         )
         self._compact = self.domain <= TABLE_DOMAIN_CAP
         columns = min(self.domain, self.width) if self._compact else self.width
+        # Until the bank forms its storage, the detector's own arrays;
+        # then views of the bank's.
         self._tables = np.zeros(
             (self.num_levels, self.depth, columns), dtype=np.int64
         )
         self._level_tokens = np.zeros(self.num_levels, dtype=np.int64)
-        # Compact mode's layout and ingest tables; built at first use,
-        # since the coefficients may still wait in a batch.
+        # Compact mode's (slots, signs, buckets) views of the bank's
+        # layout, set when the bank lays out; the bank itself is made
+        # at first use unless a container makes one first.
         self._layout = None
-        self._ingest = None
+        self._bank = None
         # Level l's sampler hashes with seed seeds[2l]; its CountSketch
         # rows with the 2 * depth draws of seeds[2l + 1]: buckets first,
         # then signs, as CountSketch draws them.
@@ -225,106 +230,22 @@ class F2Contributing(DeferredCoefficients, StreamingAlgorithm):
 
     # -- the domain-mode bank -------------------------------------------
 
-    def _row_values(self, items):
-        """``(buckets, signs)``, both ``(levels * depth, len(items))``,
-        level-major: every CountSketch row's bucket and ``+-1`` sign of
-        ``items``, from one Horner pass."""
-        depth, levels = self.depth, self.num_levels
-        ranges = np.tile(np.repeat([self.width, 2], depth), levels)
-        values = eval_rows(self._row_coeffs, ranges[:, None], items)
-        values = values.reshape(levels, 2, depth, len(items))
-        rows = levels * depth
-        return (
-            values[:, 0].reshape(rows, len(items)),
-            sign_table(values[:, 1].reshape(rows, len(items))),
-        )
-
-    def _keep(self, items):
-        """``(levels, len(items))``: whether each level samples each item.
-        Rate-1 levels keep every item without hashing."""
-        keep = np.ones((self.num_levels, len(items)), dtype=bool)
-        hashed = self._sampler_buckets > 1
-        if hashed.any():
-            keep[hashed] = (
-                eval_rows(
-                    self._sampler_coeffs[hashed],
-                    self._sampler_buckets[hashed, None],
-                    items,
-                )
-                == 0
-            )
-        return keep
+    def _member_bank(self) -> "ContributingBank":
+        """The bank holding this detector: its container's, or a bank of
+        one made at first use."""
+        if self._bank is None:
+            ContributingBank([self])
+        return self._bank
 
     def _layout_tables(self):
         """``(slots, signs, buckets)``, all ``(levels * depth, domain)``,
         level-major: every CountSketch row's column in its level's
         compact table (int32), its ``+-1`` sign (int8) and its bucket in
-        the full row (int32).
-
-        Built once, from one Horner pass over the whole domain.  A
-        state load, a state write and a score need only these;
-        :meth:`_ingest_tables` adds what a chunk needs.
-        """
+        the full row (int32).  Views of the bank's layout, which is laid
+        out for every member at once."""
         if self._layout is None:
-            t0 = PROFILER.clock() if PROFILER.enabled else 0.0
-            buckets, signs = self._row_values(np.arange(self.domain))
-            self._layout = (
-                number_buckets(buckets, self.width),
-                signs,
-                buckets.astype(np.int32),
-            )
-            if PROFILER.enabled:
-                PROFILER.add("layout", PROFILER.clock() - t0)
+            self._member_bank()._lay_out()
         return self._layout
-
-    def _ingest_tables(self):
-        """``(signed, terms)``, built once from one pass of the level
-        samplers over the whole domain.
-
-        ``signed`` is the ``(levels * depth, domain)`` sign table with
-        0 where the row's level does not sample the coordinate.
-        ``terms`` is ``(cells, items, signs, keep)``: the flat bank
-        cell and coordinate (both int32: a cell is below ``levels *
-        depth * min(domain, width) < 2^31``) and sign of every
-        ``(level, row, coordinate)`` whose level samples the
-        coordinate, and the ``(levels, domain)`` survivor table.
-        """
-        if self._ingest is None:
-            slots, signs, _buckets = self._layout_tables()
-            t0 = PROFILER.clock() if PROFILER.enabled else 0.0
-            items = np.arange(self.domain, dtype=np.int32)
-            keep = self._keep(items)
-            kept = np.repeat(keep, self.depth, axis=0)
-            offsets = (
-                np.arange(len(slots), dtype=np.int32) * self._tables.shape[2]
-            )
-            terms = (
-                (slots + offsets[:, None])[kept],
-                np.broadcast_to(items, kept.shape)[kept],
-                signs[kept],
-                keep,
-            )
-            self._ingest = (signs * kept, terms)
-            if PROFILER.enabled:
-                PROFILER.add("layout", PROFILER.clock() - t0)
-        return self._ingest
-
-    def _level_rows(self, unique):
-        """``(flat, signed)``, both ``(levels * depth, U)``, level-major:
-        each CountSketch row's flat bank index for ``unique``, and its
-        ``+-1`` sign where the row's level samples the item, 0 where not.
-
-        Gathered from the compact layout; above the cap, hashed.
-        """
-        if self._compact:
-            slots = self._layout_tables()[0]
-            signed = self._ingest_tables()[0]
-            columns, signed = slots[:, unique], signed[:, unique]
-        else:
-            columns, signs = self._row_values(unique)
-            signed = signs * np.repeat(self._keep(unique), self.depth, axis=0)
-        offsets = np.arange(len(columns)) * self._tables.shape[2]
-        return columns + offsets[:, None], signed
 
     def _full_tables(self):
         """The ``(levels, depth, width)`` tables the per-level sketches
@@ -338,84 +259,29 @@ class F2Contributing(DeferredCoefficients, StreamingAlgorithm):
         )
         return full.reshape(self.num_levels, self.depth, self.width)
 
-    def _scatter_counts(self, counts) -> None:
-        """Add ``counts[i]`` arrivals of every coordinate ``i`` to every
-        level that samples it."""
-        unique = np.flatnonzero(counts)
-        if self._compact and len(unique) * _DENSE_SHARE >= self.domain:
-            # Every precomputed term; absent coordinates add 0.
-            cells, items, signs, keep = self._ingest_tables()[1]
-            values = signs * counts[items]
-            totals = keep @ counts
-        else:
-            flat, signed = self._level_rows(unique)
-            signed_counts = signed * counts[unique]
-            cells, values = flat.ravel(), signed_counts.ravel()
-            # A level's first row holds +-count where it keeps an item.
-            totals = np.abs(signed_counts[:: self.depth]).sum(axis=1)
-        self._level_tokens += totals
-        profiling = PROFILER.enabled
-        t0 = PROFILER.clock() if profiling else 0.0
-        np.add.at(self._tables.reshape(-1), cells, values)
-        if profiling:
-            PROFILER.add("scatter", PROFILER.clock() - t0)
-
-    def _level_reports(self):
-        """``(estimates, heavy)``, both ``(levels, domain)``: every
-        level's estimate of every coordinate, and whether the level's
-        ``F2HeavyHitter.peek_heavy_hitters`` would report it.
-
-        Each level's ``F_2`` estimate is the median of its row norms and
-        its report threshold ``slack * sqrt(phi * F_2)``, as in
-        :meth:`~repro.sketch.countsketch.F2HeavyHitter.peek_heavy_hitters`;
-        one gather and one median over the rows estimate every
-        coordinate at every level.
-        """
-        levels, depth = self.num_levels, self.depth
-        rows = levels * depth
-        if self._compact:
-            slots, signs, _buckets = self._layout_tables()
-            full = self._full_tables
-        else:
-            slots, signs = self._row_values(np.arange(self.domain))
-            full = None
-        f2 = np.median(squared_norms(self._tables, full), axis=1)
-        threshold = REPORT_SLACK * np.sqrt(self.phi * f2)
-        counters = self._tables.reshape(rows, -1)[
-            np.arange(rows)[:, None], slots
-        ]
-        estimates = np.median(
-            (signs * counters).reshape(levels, depth, self.domain), axis=1
+    def _ingest(self, counts, total_len=None) -> None:
+        """Have the bank add ``counts[i]`` arrivals of every coordinate
+        ``i`` to every level that samples it; with ``total_len``, also
+        advance ``tokens_seen`` by it."""
+        bank = self._member_bank()
+        bank.ingest(
+            counts[None],
+            None if total_len is None else [total_len],
+            bank.index(self),
         )
-        heavy = (estimates >= threshold[:, None]) & (f2 > 0)[:, None]
-        return estimates, heavy
-
-    def _scores(self):
-        """``(coordinates, frequencies, levels)``: :meth:`peek_contributing`
-        as arrays, in its order.  A coordinate reports its largest heavy
-        estimate, from the first level that reaches it."""
-        estimates, heavy = self._level_reports()
-        coordinates = np.flatnonzero(heavy.any(axis=0))
-        heavy = heavy[:, coordinates]
-        scored = np.where(heavy, estimates[:, coordinates], -np.inf)
-        best = scored.argmax(axis=0)
-        frequencies = scored[best, np.arange(len(coordinates))]
-        order = np.lexsort((coordinates, heavy.argmax(axis=0), -frequencies))
-        return coordinates[order], frequencies[order], best[order]
 
     # -- updates -----------------------------------------------------------
 
     def ingest_grouped(self, counts, total_len) -> None:
         """Domain-mode kernel over a chunk's whole-domain id counts.
 
-        The caller (``LargeSetRun``) counts a chunk of ``total_len``
-        coordinates once: ``counts[i]`` arrivals of coordinate ``i``,
-        one entry per coordinate of the domain.  Every level's update
-        is then one term of a single scatter into the bank: level ``l``
-        adds ``sign * count`` at its cells for the present coordinates
-        it samples, and advances its token count by their arrivals.
-        Bit-identical to per-level ``F2HeavyHitter.ingest_unique``
-        calls and to ``process_batch`` on the raw ids.
+        The caller counts a chunk of ``total_len`` coordinates once:
+        ``counts[i]`` arrivals of coordinate ``i``, one integer entry
+        per coordinate of the domain.  Level ``l`` adds ``sign * count``
+        at its cells for the present coordinates it samples, and
+        advances its token count by their arrivals.  Bit-identical to
+        per-level ``F2HeavyHitter.ingest_unique`` calls and to
+        ``process_batch`` on the raw ids.
         """
         if self.domain is None:
             raise TypeError(
@@ -423,14 +289,17 @@ class F2Contributing(DeferredCoefficients, StreamingAlgorithm):
                 "(domain=...)"
             )
         self._check_open()
-        counts = np.asarray(counts, dtype=np.int64)
+        counts = np.asarray(counts)
         if len(counts) != self.domain:
             raise ValueError(
                 f"counts must hold one entry per coordinate of the domain "
                 f"[0, {self.domain}), got {len(counts)}"
             )
-        self._tokens_seen += total_len
-        self._scatter_counts(counts)
+        if counts.dtype.kind not in "iu":
+            raise ValueError(
+                f"counts must be an integer array, got {counts.dtype}"
+            )
+        self._ingest(counts.astype(np.int64, copy=False), total_len)
 
     def _process(self, item, count: int = 1) -> None:
         item = int(item)
@@ -442,7 +311,7 @@ class F2Contributing(DeferredCoefficients, StreamingAlgorithm):
         check_items(item, item, self.domain)
         counts = np.zeros(self.domain, dtype=np.int64)
         counts[item] = count
-        self._scatter_counts(counts)
+        self._ingest(counts)
 
     def _process_batch(self, items: np.ndarray) -> None:
         if self.domain is None:
@@ -453,7 +322,7 @@ class F2Contributing(DeferredCoefficients, StreamingAlgorithm):
                     sketch.process_batch(survivors)
             return
         check_items(int(items.min()), int(items.max()), self.domain)
-        self._scatter_counts(np.bincount(items, minlength=self.domain))
+        self._ingest(np.bincount(items, minlength=self.domain))
 
     # -- queries -----------------------------------------------------------
 
@@ -480,7 +349,10 @@ class F2Contributing(DeferredCoefficients, StreamingAlgorithm):
             return [
                 ContributingCoordinate(coordinate, frequency, level)
                 for coordinate, frequency, level in zip(
-                    *(array.tolist() for array in self._scores())
+                    *(
+                        array.tolist()
+                        for array in self._member_bank().scores(self)
+                    )
                 )
             ]
         best: dict[int, ContributingCoordinate] = {}
@@ -503,12 +375,9 @@ class F2Contributing(DeferredCoefficients, StreamingAlgorithm):
         if self.domain is None:
             found = self.peek_contributing()
             return found[0] if found else None
-        coordinates, frequencies, levels = self._scores()
-        if not len(coordinates):
-            return None
-        return ContributingCoordinate(
-            int(coordinates[0]), float(frequencies[0]), int(levels[0])
-        )
+        bank = self._member_bank()
+        first = bank.index(self)
+        return bank.tops(first, first + 1)[0]
 
     # -- merging / state ---------------------------------------------------
 
@@ -618,3 +487,399 @@ class F2Contributing(DeferredCoefficients, StreamingAlgorithm):
             + 2 * self.depth * ROW_DEGREE
         )
         return self.num_levels * per_level
+
+
+def _median_rows(values) -> np.ndarray:
+    """``np.median(values, axis=1)``, bit for bit, by an odd-even
+    transposition sort of the ``depth`` rows of a ``(levels, depth,
+    columns)`` integer array.
+
+    Each step is one vectorised ``minimum``/``maximum`` over whole rows,
+    where ``np.median`` partitions every tiny ``depth``-long column on
+    its own: on a 2-CPU host, 88 us against 483 us for a ``(36, 4,
+    200)`` reference bank.  An even depth averages the middle two as
+    ``np.median`` does, ``(float(low) + float(high)) / 2``.
+    """
+    rows = list(np.moveaxis(values, 1, 0))
+    depth = len(rows)
+    for step in range(depth):
+        for i in range(step % 2, depth - 1, 2):
+            low = np.minimum(rows[i], rows[i + 1])
+            rows[i + 1] = np.maximum(rows[i], rows[i + 1])
+            rows[i] = low
+    middle = depth // 2
+    if depth % 2:
+        return rows[middle].astype(np.float64)
+    return (rows[middle - 1].astype(np.float64) + rows[middle]) / 2
+
+
+def _ranked(estimates, heavy):
+    """``(coordinates, frequencies, levels)`` from one detector's
+    ``(levels, domain)`` reports, in report order: frequency descending,
+    then the first level that reports the coordinate, then the
+    coordinate.  A coordinate reports its largest heavy estimate, from
+    the first level that reaches it."""
+    coordinates = np.flatnonzero(heavy.any(axis=0))
+    heavy = heavy[:, coordinates]
+    scored = np.where(heavy, estimates[:, coordinates], -np.inf)
+    best = scored.argmax(axis=0)
+    frequencies = scored[best, np.arange(len(coordinates))]
+    order = np.lexsort((coordinates, heavy.argmax(axis=0), -frequencies))
+    return coordinates[order], frequencies[order], best[order]
+
+
+def _join(members, name: str) -> np.ndarray:
+    """One flat array holding every member's array ``name`` end to end,
+    each member's array becoming a view of it.  A lone member's array is
+    the storage itself, so the member keeps it."""
+    arrays = [getattr(member, name) for member in members]
+    if len(arrays) == 1:
+        return arrays[0].reshape(-1)
+    flat = np.concatenate([array.reshape(-1) for array in arrays])
+    start = 0
+    for member, array in zip(members, arrays):
+        stop = start + array.size
+        setattr(member, name, flat[start:stop].reshape(array.shape))
+        start = stop
+    return flat
+
+
+class ContributingBank:
+    """Domain-mode :class:`F2Contributing` detectors over one domain,
+    laid out, scattered and scored as one array.
+
+    Stacked member after member, each level-major, the members' ``L``
+    levels have ``R = L * depth`` CountSketch rows.  Their counters lie
+    end to end in one flat int64 array and their level token counts in
+    another, and each member's ``_tables``, ``_level_tokens`` and
+    layout are views of the bank's arrays.  Nothing is built when the
+    bank is made, so a container may make it in its constructor: the
+    storage forms, and the layout and ingest tables are built, at the
+    first chunk, load or score.
+
+    ``members`` must share the domain and the depth; their order is the
+    order of a chunk's count rows (:meth:`ingest`) and of
+    :meth:`tops`.  ``LargeSet`` banks all its runs' detectors, a
+    standalone ``LargeSetRun`` its two, and any other detector makes a
+    bank of one.
+    """
+
+    def __init__(self, members):
+        members = list(members)
+        head = members[0]
+        for member in members:
+            if member.domain is None or (member.domain, member.depth) != (
+                head.domain,
+                head.depth,
+            ):
+                raise ValueError(
+                    "a ContributingBank's members must be domain-mode "
+                    "F2Contributing detectors of one domain and depth"
+                )
+            member._bank = self
+            member._layout = None
+        self.domain = head.domain
+        self.depth = head.depth
+        self._compact = head._compact
+        self._members = members
+        self._counters = None
+        self._layout = None
+        self._ingest = None
+
+    def __len__(self) -> int:
+        return len(self._members)
+
+    def index(self, member: F2Contributing) -> int:
+        """Position of ``member`` among the bank's members."""
+        return self._members.index(member)
+
+    # -- storage and tables --------------------------------------------------
+
+    def _storage(self) -> np.ndarray:
+        """The flat counters, formed at first use with the geometry:
+        where each member's levels start, each level's member and
+        ``phi``, and each row's first counter."""
+        if self._counters is None:
+            members, depth = self._members, self.depth
+            levels = [member.num_levels for member in members]
+            self._level_starts = np.cumsum([0, *levels])
+            self._level_member = np.repeat(np.arange(len(members)), levels)
+            self._phi = np.repeat([member.phi for member in members], levels)
+            columns = np.repeat(
+                [member._tables.shape[2] for member in members],
+                [depth * count for count in levels],
+            )
+            self._row_base = np.cumsum(columns) - columns
+            self._counters = _join(members, "_tables")
+            self._tokens = _join(members, "_level_tokens")
+        return self._counters
+
+    def _span(self, first: int, last: int) -> tuple:
+        """``(lo, hi)``: the levels of members ``first..last-1``."""
+        starts = self._level_starts
+        return int(starts[first]), int(starts[last])
+
+    def _row_values(self, items, first: int, last: int):
+        """``(buckets, signs)``, both ``(rows, len(items))``: every
+        CountSketch row of members ``first..last-1``, level-major, from
+        one hash pass."""
+        members, depth = self._members[first:last], self.depth
+        coeffs = np.concatenate([member._row_coeffs for member in members])
+        ranges = np.concatenate(
+            [
+                np.tile(np.repeat([member.width, 2], depth), member.num_levels)
+                for member in members
+            ]
+        )
+        values = eval_rows(coeffs, ranges[:, None], items)
+        values = values.reshape(-1, 2, depth, len(items))
+        rows = len(values) * depth
+        return (
+            values[:, 0].reshape(rows, len(items)),
+            sign_table(values[:, 1].reshape(rows, len(items))),
+        )
+
+    def _keep(self, items, first: int, last: int):
+        """``(levels, len(items))``: whether each level of members
+        ``first..last-1`` samples each item, from one hash pass.  Rate-1
+        levels keep every item without hashing."""
+        members = self._members[first:last]
+        buckets = np.concatenate(
+            [member._sampler_buckets for member in members]
+        )
+        keep = np.ones((len(buckets), len(items)), dtype=bool)
+        hashed = buckets > 1
+        if hashed.any():
+            coeffs = np.concatenate(
+                [member._sampler_coeffs for member in members]
+            )
+            keep[hashed] = (
+                eval_rows(coeffs[hashed], buckets[hashed, None], items) == 0
+            )
+        return keep
+
+    def _lay_out(self):
+        """``(slots, signs, buckets)``, all ``(R, domain)``: every row's
+        column in its member's compact table (int32), its ``+-1`` sign
+        (int8) and its bucket in the full row (int32).
+
+        Built once, from one hash pass over the domain; each member gets
+        views of its rows.  A state load, a state write and a score need
+        only these; :meth:`_ingest_tables` adds what a chunk needs.
+        """
+        if self._layout is None:
+            self._storage()
+            t0 = PROFILER.clock() if PROFILER.enabled else 0.0
+            buckets, signs = self._row_values(
+                np.arange(self.domain), 0, len(self)
+            )
+            width = max(member.width for member in self._members)
+            self._layout = (
+                number_buckets(buckets, width),
+                signs,
+                buckets.astype(np.int32),
+            )
+            rows = self._level_starts * self.depth
+            for member, lo, hi in zip(self._members, rows[:-1], rows[1:]):
+                member._layout = tuple(table[lo:hi] for table in self._layout)
+            if PROFILER.enabled:
+                PROFILER.add("layout", PROFILER.clock() - t0)
+        return self._layout
+
+    def _ingest_tables(self):
+        """``(signed, keep, terms)``, built once from one pass of every
+        level sampler over the domain.
+
+        ``keep`` is the ``(L, domain)`` survivor table and ``signed`` the
+        ``(R, domain)`` sign table with 0 where the row's level does not
+        sample the coordinate.  ``terms`` is ``(positive, negative)``,
+        each ``(cells, counts)``: the flat counter and the flat
+        ``(member, coordinate)`` index into a chunk's count rows of
+        every ``(level, row, coordinate)`` whose level samples the
+        coordinate, split by the row's sign.  Both are int32: a cell is
+        below the bank's counter count, a count index below ``members
+        * domain``, both far below ``2^31``.
+        """
+        if self._ingest is None:
+            slots, signs, _buckets = self._lay_out()
+            t0 = PROFILER.clock() if PROFILER.enabled else 0.0
+            items = np.arange(self.domain)
+            keep = self._keep(items, 0, len(self))
+            kept = np.repeat(keep, self.depth, axis=0)
+            cells = (slots + self._row_base[:, None]).ravel()
+            counts = (
+                np.repeat(self._level_member, self.depth)[:, None]
+                * self.domain
+                + items
+            ).ravel()
+            terms = []
+            for mask in (kept & (signs > 0), kept & (signs < 0)):
+                # Positions first: a 2-D boolean index is several times
+                # slower than a take.
+                where = np.flatnonzero(mask)
+                terms.append(
+                    (
+                        cells.take(where).astype(np.int32),
+                        counts.take(where).astype(np.int32),
+                    )
+                )
+            self._ingest = (signs * kept, keep, tuple(terms))
+            if PROFILER.enabled:
+                PROFILER.add("layout", PROFILER.clock() - t0)
+        return self._ingest
+
+    def _present_rows(self, present, first: int, last: int):
+        """``(columns, signed, keep)`` of the ``present`` coordinates for
+        members ``first..last-1``: each row's column in its counter bank
+        and its ``+-1`` sign, 0 where the row's level does not sample
+        the coordinate, both ``(rows, U)``, and the ``(levels, U)``
+        survivor table.  Gathered from the tables; above the cap,
+        hashed."""
+        lo, hi = self._span(first, last)
+        if self._compact:
+            rows = slice(lo * self.depth, hi * self.depth)
+            slots = self._lay_out()[0]
+            signed, keep, _terms = self._ingest_tables()
+            return (
+                slots[rows, present],
+                signed[rows, present],
+                keep[lo:hi, present],
+            )
+        buckets, signs = self._row_values(present, first, last)
+        keep = self._keep(present, first, last)
+        return buckets, signs * np.repeat(keep, self.depth, axis=0), keep
+
+    # -- updates -----------------------------------------------------------
+
+    def ingest(self, counts, totals=None, first: int = 0) -> None:
+        """Add ``counts[i, x]`` arrivals of coordinate ``x`` to every
+        level of member ``first + i`` that samples ``x``, and advance
+        those levels' token counts by their arrivals; with ``totals``,
+        member ``first + i`` also advances its ``tokens_seen`` by
+        ``totals[i]``.
+
+        ``counts`` is an int64 ``(members, domain)`` array.  A chunk of
+        the whole bank that presents at least ``1 / _DENSE_SHARE`` of
+        the domain applies every precomputed term, absent coordinates
+        adding 0; any other gathers the present coordinates' columns
+        (hashed above the cap).  Either way one scatter updates every
+        member.
+        """
+        last = first + len(counts)
+        if totals is not None:
+            for member, total in zip(self._members[first:last], totals):
+                member._tokens_seen += int(total)
+        counters = self._storage()
+        present = np.flatnonzero(counts.any(axis=0))
+        if not len(present):
+            return
+        lo, hi = self._span(first, last)
+        level_rows = self._level_member[lo:hi] - first
+        dense = (
+            self._compact
+            and len(counts) == len(self)
+            and len(present) * _DENSE_SHARE >= self.domain
+        )
+        if dense:
+            _signed, keep, terms = self._ingest_tables()
+            tokens = np.einsum("ij,ij->i", keep, counts[level_rows])
+            # Split by sign, the terms need no multiply.
+            flat = counts.reshape(-1)
+            (positive, plus), (negative, minus) = terms
+            updates = (
+                (np.add, positive, flat.take(plus)),
+                (np.subtract, negative, flat.take(minus)),
+            )
+        else:
+            columns, signed, keep = self._present_rows(present, first, last)
+            present_counts = counts[:, present][level_rows]
+            tokens = np.einsum("ij,ij->i", keep, present_counts)
+            rows = slice(lo * self.depth, hi * self.depth)
+            values = signed * np.repeat(present_counts, self.depth, axis=0)
+            cells = columns + self._row_base[rows, None]
+            updates = ((np.add, cells.ravel(), values.ravel()),)
+        self._tokens[lo:hi] += tokens
+        profiling = PROFILER.enabled
+        t0 = PROFILER.clock() if profiling else 0.0
+        for ufunc, cells, values in updates:
+            ufunc.at(counters, cells, values)
+        if profiling:
+            PROFILER.add("scatter", PROFILER.clock() - t0)
+
+    # -- scoring -----------------------------------------------------------
+
+    def _reports(self, first: int = 0, last: int | None = None):
+        """``(estimates, heavy)``, both ``(levels, domain)`` over the
+        levels of members ``first..last-1``: every level's estimate of
+        every coordinate, and whether the level's
+        ``F2HeavyHitter.peek_heavy_hitters`` would report it.
+
+        Each level's ``F_2`` estimate is the median of its row norms and
+        its report threshold ``slack * sqrt(phi * F_2)``, as in
+        :meth:`~repro.sketch.countsketch.F2HeavyHitter.peek_heavy_hitters`;
+        one gather and one median over the rows (:func:`_median_rows`)
+        estimate every coordinate at every level of every member.
+        """
+        last = len(self) if last is None else last
+        counters = self._storage()
+        lo, hi = self._span(first, last)
+        rows = slice(lo * self.depth, hi * self.depth)
+        if self._compact:
+            slots, signs, _buckets = self._lay_out()
+            slots, signs = slots[rows], signs[rows]
+        else:
+            slots, signs = self._row_values(
+                np.arange(self.domain), first, last
+            )
+        sums = np.concatenate(
+            [
+                squared_norms(
+                    member._tables,
+                    member._full_tables if self._compact else None,
+                ).reshape(-1)
+                for member in self._members[first:last]
+            ]
+        )
+        f2 = np.median(sums.reshape(hi - lo, self.depth), axis=1)
+        threshold = REPORT_SLACK * np.sqrt(self._phi[lo:hi] * f2)
+        counters = counters[slots + self._row_base[rows, None]]
+        estimates = _median_rows(
+            (signs * counters).reshape(hi - lo, self.depth, self.domain)
+        )
+        heavy = (estimates >= threshold[:, None]) & (f2 > 0)[:, None]
+        return estimates, heavy
+
+    def scores(self, member: F2Contributing):
+        """``(coordinates, frequencies, levels)``: ``member``'s
+        :meth:`F2Contributing.peek_contributing` as arrays, in its
+        order."""
+        first = self.index(member)
+        return _ranked(*self._reports(first, first + 1))
+
+    def tops(self, first: int = 0, last: int | None = None) -> list:
+        """The first entry of :meth:`F2Contributing.peek_contributing`
+        of each member ``first..last-1``, ``None`` where it is empty,
+        from one scoring pass."""
+        last = len(self) if last is None else last
+        if not self._compact and last - first > 1:
+            # Above the cap each member hashes the whole domain to score;
+            # one member at a time keeps those tables a member's size.
+            return [
+                self.tops(index, index + 1)[0] for index in range(first, last)
+            ]
+        estimates, heavy = self._reports(first, last)
+        starts = self._level_starts[first : last + 1]
+        starts = starts - starts[0]
+        tops = []
+        for lo, hi in zip(starts[:-1], starts[1:]):
+            coordinates, frequencies, levels = _ranked(
+                estimates[lo:hi], heavy[lo:hi]
+            )
+            tops.append(
+                ContributingCoordinate(
+                    int(coordinates[0]), float(frequencies[0]), int(levels[0])
+                )
+                if len(coordinates)
+                else None
+            )
+        return tops

@@ -3,10 +3,12 @@
 ``LargeSetRun`` keeps its case-2b ``L_0`` sketches as rows of one
 :class:`~repro.sketch.l0.KMVBank`, which gathers its hash values from a
 table and folds its keys lazily, ``F2Contributing`` keeps its levels
-as one bank of arrays, and ``SmallSetRun`` appends packed edge arrays
-that it deduplicates lazily.  Each must hold exactly what the
-per-superset ``L0Sketch``, the per-level ``SampledSet`` and
-``F2HeavyHitter`` and the per-edge ``feed`` would.
+as arrays, which ``LargeSet`` lays out, scatters and scores for all its
+runs' detectors as one :class:`~repro.sketch.contributing.ContributingBank`,
+and ``SmallSetRun`` appends packed edge arrays that it deduplicates
+lazily.  Each must hold exactly what the per-superset ``L0Sketch``, the
+per-level ``SampledSet`` and ``F2HeavyHitter``, the detector standing
+alone and the per-edge ``feed`` would.
 """
 
 from __future__ import annotations
@@ -19,12 +21,16 @@ import pytest
 from repro import EdgeStream, StreamRunner
 from repro.base import MergeIncompatibleError
 from repro.core.estimate import EstimateMaxCover
-from repro.core.large_set import _L0_SIZE, LargeSetOutcome
+from repro.core.large_set import _L0_SIZE, LargeSet, LargeSetOutcome
 from repro.core.oracle import Oracle
 from repro.core.parameters import Parameters
 from repro.core.small_set import SmallSet
 from repro.sketch import contributing, countsketch, l0
-from repro.sketch.contributing import ContributingCoordinate, F2Contributing
+from repro.sketch.contributing import (
+    ContributingBank,
+    ContributingCoordinate,
+    F2Contributing,
+)
 from repro.sketch.countsketch import F2HeavyHitter
 from repro.sketch.hashing import MERSENNE_P, SampledSet
 from repro.sketch.l0 import KMVBank, L0Sketch
@@ -326,9 +332,16 @@ def _walked_contributing(levels) -> list:
     return sorted(best.values(), key=lambda c: c.frequency, reverse=True)
 
 
+def _level_reports(detector):
+    """``(estimates, heavy)`` of the detector's levels, from its bank."""
+    bank = detector._member_bank()
+    first = bank.index(detector)
+    return bank._reports(first, first + 1)
+
+
 def _assert_bank_matches(detector, levels):
     state = detector.state_arrays()
-    estimates, heavy = detector._level_reports()
+    estimates, heavy = _level_reports(detector)
     for level, (_sampler, reference) in enumerate(levels):
         expected = reference.state_arrays()
         for key in ("sketch/table", "sketch/tokens", "tokens"):
@@ -367,13 +380,14 @@ class TestStackedContributing:
         levels = _reference_levels(stacked, 3)
         other_levels = _reference_levels(stacked, 3)
         gathers = []
-        level_rows = stacked._level_rows
+        present_rows = ContributingBank._present_rows
 
-        def spy(unique):
-            gathers.append(unique)
-            return level_rows(unique)
+        def spy(bank, present, first, last):
+            if bank is stacked._bank:
+                gathers.append(present)
+            return present_rows(bank, present, first, last)
 
-        monkeypatch.setattr(stacked, "_level_rows", spy)
+        monkeypatch.setattr(ContributingBank, "_present_rows", spy)
         rng = np.random.default_rng(0)
         chunks = [
             rng.integers(0, self.DOMAIN, size=int(rng.integers(1, 400)))
@@ -424,10 +438,21 @@ class TestStackedContributing:
         for feed in (
             lambda d: d.process_batch(np.array([3, self.DOMAIN])),
             lambda d: d.process(-1),
-            lambda d: d.ingest_grouped(np.ones(self.DOMAIN - 1), 5),
         ):
             with pytest.raises(ValueError):
                 feed(detector())
+        for counts in (
+            np.ones(self.DOMAIN - 1, dtype=np.int64),
+            # Counts an int64 cast would floor: 0.5 to 0, 1.7 to 1.
+            np.full(self.DOMAIN, 0.5),
+            np.full(self.DOMAIN, 1.7),
+        ):
+            rejected = detector()
+            with pytest.raises(ValueError):
+                rejected.ingest_grouped(counts, 5)
+            assert rejected.tokens_seen == 0
+            assert not rejected._tables.any()
+            assert not rejected._level_tokens.any()
         bad = dict(state)
         bad["levels/2/sketch/table"] = np.zeros((4, 70), dtype=np.int64)
         with pytest.raises(ValueError, match="CountSketch table must be"):
@@ -454,6 +479,22 @@ class TestStackedContributing:
             with pytest.raises(MergeIncompatibleError):
                 detector().merge(other)
 
+    @pytest.mark.parametrize("domain", (4, 100))
+    def test_level_tokens_count_signed_arrivals(self, domain):
+        # One coordinate of 4 is a dense chunk, one of 100 a sparse one;
+        # both add the signed count, as ``ingest_unique``'s total does.
+        detector = F2Contributing(0.5, 8, seed=3, domain=domain)
+        levels = _reference_levels(detector, 3)
+        detector.process(1, -3)
+        for sampler, heavy in levels:
+            if sampler.contains(1):
+                heavy.ingest_unique(np.array([1]), np.array([-3]), -3)
+        assert detector._level_tokens.tolist() == [
+            heavy.tokens_seen for _sampler, heavy in levels
+        ]
+        assert -3 in detector._level_tokens
+        _assert_bank_matches(detector, levels)
+
     def test_level_tables_stay_views_after_load(self):
         source = F2Contributing(0.05, 40, seed=3, domain=self.DOMAIN)
         source.process_batch(np.arange(self.DOMAIN))
@@ -464,6 +505,209 @@ class TestStackedContributing:
         assert target._tables is bank
         assert np.array_equal(bank, source._tables)
         assert np.array_equal(target._level_tokens, source._level_tokens)
+
+
+def _members(large_set) -> list:
+    """A LargeSet's detectors in its bank's order: small, large per run."""
+    return [
+        detector
+        for run in large_set._runs
+        for detector in (run._cntr_small, run._cntr_large)
+    ]
+
+
+def _stand_alone(large_set):
+    """Move every detector of ``large_set`` into a bank of its own."""
+    for detector in _members(large_set):
+        ContributingBank([detector])
+    return large_set
+
+
+def _feed_alone(large_set, alone, set_ids, elements):
+    """Feed ``alone``'s standalone detectors one chunk, each the
+    superset-id counts its twin run in ``large_set`` takes."""
+    for run, twin in zip(large_set._runs, alone._runs):
+        keep = run.element_sampler._membership.contains_many(elements)
+        sids = run._partition(set_ids[keep])
+        counts = np.bincount(sids, minlength=run.num_supersets)
+        for detector in (twin._cntr_small, twin._cntr_large):
+            detector.ingest_grouped(counts, len(sids))
+
+
+def _feed_alone_chunks(large_set, alone, set_ids, elements, chunk_size):
+    for lo in range(0, len(set_ids), chunk_size):
+        _feed_alone(
+            large_set,
+            alone,
+            set_ids[lo : lo + chunk_size],
+            elements[lo : lo + chunk_size],
+        )
+
+
+def _assert_bank_equals_alone(large_set, alone):
+    bank = large_set._bank
+    members, lone = _members(large_set), _members(alone)
+    assert bank._members == members
+    for mine, theirs in zip(members, lone):
+        assert mine._bank is bank and len(theirs._bank) == 1
+        # Views of the bank's storage, not copies beside it.
+        assert np.shares_memory(mine._tables, bank._counters)
+        assert np.shares_memory(mine._level_tokens, bank._tokens)
+        state, expected = mine.state_arrays(), theirs.state_arrays()
+        assert state.keys() == expected.keys()
+        for key, value in state.items():
+            assert value.dtype == expected[key].dtype
+            assert value.tobytes() == expected[key].tobytes()
+        assert np.array_equal(mine._level_tokens, theirs._level_tokens)
+        assert mine.peek_contributing() == theirs.peek_contributing()
+        assert mine.peek_top() == theirs.peek_top()
+    tops = bank.tops()
+    assert tops == [theirs.peek_top() for theirs in lone]
+    assert any(top is not None for top in tops)
+
+
+class TestContributingBank:
+    """A LargeSet's one bank equals its detectors standing alone, each
+    in a bank of one fed its run's counts: state bytes, level tokens,
+    reports and top entries."""
+
+    @pytest.mark.parametrize("chunk_size", (1, 7, 64, 8192))
+    def test_chunked_pass(
+        self, chunk_size, planted_workload, planted_stream, monkeypatch
+    ):
+        set_ids, elements = planted_stream.as_arrays()
+        oracle = _large_set_oracle(planted_workload)
+        alone = _stand_alone(_large_set_oracle(planted_workload)._large_set)
+        bank = oracle._large_set._bank
+        calls = {"ingest": 0, "gather": 0}
+        ingest = ContributingBank.ingest
+        present_rows = ContributingBank._present_rows
+
+        def counting_ingest(target, counts, *args):
+            calls["ingest"] += target is bank
+            return ingest(target, counts, *args)
+
+        def counting_gather(target, *args):
+            calls["gather"] += target is bank
+            return present_rows(target, *args)
+
+        monkeypatch.setattr(ContributingBank, "ingest", counting_ingest)
+        monkeypatch.setattr(ContributingBank, "_present_rows", counting_gather)
+        _feed(oracle, set_ids, elements, chunk_size)
+        _feed_alone_chunks(
+            oracle._large_set, alone, set_ids, elements, chunk_size
+        )
+        # One scatter per chunk that any run's sample kept: lone ids
+        # gather their columns, the whole stream applies every term.
+        assert 0 < calls["ingest"] <= -(-len(set_ids) // chunk_size)
+        if chunk_size == 1:
+            assert calls["gather"] == calls["ingest"]
+        if chunk_size == 8192:
+            assert len(set_ids) <= chunk_size
+            assert calls["gather"] == 0
+        _assert_bank_equals_alone(oracle._large_set, alone)
+
+    def test_members_of_different_widths(self):
+        # The report_wide --quick shape: 300 superset ids meet small-class
+        # width 19,200 (300 held columns) and large-class width 256.
+        planted = planted_cover(
+            n=6000, m=600, k=25, coverage_frac=0.9, seed=99
+        )
+        stream = EdgeStream.from_system(
+            planted.system, order="random", seed=2
+        )
+        set_ids, elements = stream.as_arrays()
+        params = Parameters.practical(m=600, n=6000, k=25, alpha=4.0)
+        large_set = LargeSet(params, seed=5)
+        alone = _stand_alone(LargeSet(params, seed=5))
+        assert {
+            detector._tables.shape[2] for detector in _members(large_set)
+        } == {300, 256}
+        _feed(large_set, set_ids, elements, 4096)
+        _feed_alone_chunks(large_set, alone, set_ids, elements, 4096)
+        _assert_bank_equals_alone(large_set, alone)
+
+    def test_above_the_cap(
+        self, planted_workload, planted_stream, monkeypatch
+    ):
+        # 100 superset ids above a cap of 99: full tables, hashed chunks.
+        for module in (countsketch, contributing):
+            monkeypatch.setattr(module, "TABLE_DOMAIN_CAP", 99)
+        set_ids, elements = planted_stream.as_arrays()
+        oracle = _large_set_oracle(planted_workload)
+        alone = _stand_alone(_large_set_oracle(planted_workload)._large_set)
+        for detector in _members(oracle._large_set):
+            assert detector.domain == 100 and not detector._compact
+            assert detector._tables.shape[2] == detector.width
+        _feed(oracle, set_ids, elements, 256)
+        _feed_alone_chunks(oracle._large_set, alone, set_ids, elements, 256)
+        assert oracle._large_set._bank._layout is None
+        _assert_bank_equals_alone(oracle._large_set, alone)
+
+    def test_two_shard_merge(self, planted_workload, planted_stream):
+        set_ids, elements = planted_stream.as_arrays()
+        cut = len(set_ids) // 3
+        left = _feed(
+            _large_set_oracle(planted_workload),
+            set_ids[:cut], elements[:cut], 64,
+        )
+        right = _feed(
+            _large_set_oracle(planted_workload),
+            set_ids[cut:], elements[cut:], 64,
+        )
+        left.merge(right)
+        alone = _stand_alone(_large_set_oracle(planted_workload)._large_set)
+        _feed_alone_chunks(left._large_set, alone, set_ids, elements, 64)
+        _assert_bank_equals_alone(left._large_set, alone)
+
+    @pytest.mark.parametrize("built", (False, True))
+    def test_mid_pass_round_trip(
+        self, built, planted_workload, planted_stream
+    ):
+        # Into a fresh LargeSet whose bank the load builds, or one whose
+        # bank a score built before the load.
+        set_ids, elements = planted_stream.as_arrays()
+        cut = len(set_ids) // 2
+        source = _feed(
+            _large_set_oracle(planted_workload),
+            set_ids[:cut], elements[:cut], 64,
+        )
+        resumed = _large_set_oracle(planted_workload)
+        bank = resumed._large_set._bank
+        if built:
+            assert resumed._large_set.peek_best_outcome() is None
+        assert (bank._layout is not None) == built
+        loads_state(resumed, dumps_state(source))
+        assert bank._layout is not None
+        _feed(resumed, set_ids[cut:], elements[cut:], 64)
+        alone = _stand_alone(_large_set_oracle(planted_workload)._large_set)
+        _feed_alone_chunks(resumed._large_set, alone, set_ids, elements, 64)
+        _assert_bank_equals_alone(resumed._large_set, alone)
+
+    def test_scalar_path_after_the_bank_is_built(
+        self, planted_workload, planted_stream
+    ):
+        set_ids, elements = planted_stream.as_arrays()
+        cut = len(set_ids) // 2
+        oracle = _feed(
+            _large_set_oracle(planted_workload),
+            set_ids[:cut], elements[:cut], 64,
+        )
+        large_set = oracle._large_set
+        alone = _stand_alone(_large_set_oracle(planted_workload)._large_set)
+        _feed_alone_chunks(large_set, alone, set_ids[:cut], elements[:cut], 64)
+        assert large_set._bank._ingest is not None
+        for set_id, element in zip(
+            set_ids[cut : cut + 400].tolist(),
+            elements[cut : cut + 400].tolist(),
+        ):
+            oracle.process(set_id, element)
+            for run, twin in zip(large_set._runs, alone._runs):
+                if run.element_sampler.contains(element):
+                    sid = run._partition(set_id)
+                    twin._cntr_small.process(sid)
+                    twin._cntr_large.process(sid)
+        _assert_bank_equals_alone(large_set, alone)
 
 
 def _arrays(obj, seen=None):

@@ -22,6 +22,7 @@ from repro.core.estimate import EstimateMaxCover
 from repro.engine import profile as profile_module
 from repro.engine.plan import EvalPlan
 from repro.engine.profile import PROFILER, KernelProfiler
+from repro.sketch.contributing import ContributingBank
 from repro.sketch.countsketch import CountSketch
 from repro.sketch.hashing import KWiseHash
 from repro.sketch.l0 import KMVBank, L0Sketch
@@ -217,7 +218,15 @@ class TestInstrumentedSites:
         # the pass; tolerance covers clock granularity on short spans.
         assert total <= report.seconds * 1.05 + 1e-3
 
-    def test_profiled_pass_reports_layout_builds(self):
+    def test_profiled_pass_reports_layout_builds(self, monkeypatch):
+        ingests = []
+        ingest = ContributingBank.ingest
+
+        def counting(bank, counts, *args):
+            ingests.append(bool(counts.any()))
+            return ingest(bank, counts, *args)
+
+        monkeypatch.setattr(ContributingBank, "ingest", counting)
         workload = planted_cover(800, 120, 6, seed=3)
         stream = EdgeStream.from_system(
             workload.system, order="random", seed=4
@@ -228,22 +237,22 @@ class TestInstrumentedSites:
         PROFILER.start()
         report = StreamRunner(chunk_size=1024).run(algo, stream)
         PROFILER.stop()
-        detectors = [
-            detector
-            for _z, _reducer, oracle in algo._branches
-            for run in oracle._large_set._runs
-            for detector in (run._cntr_small, run._cntr_large)
-        ]
-        # Each detector lays out its levels, then builds its ingest
-        # tables, once, at its first chunk.
-        builds = sum(
-            (detector._layout is not None) + (detector._ingest is not None)
-            for detector in detectors
+        banks = [oracle._large_set._bank for _z, _r, oracle in algo._branches]
+        # Each LargeSet's bank lays out all its runs' detectors, then
+        # builds its ingest tables, once, at its first chunk.
+        assert all(
+            bank._layout is not None and bank._ingest is not None
+            for bank in banks
         )
-        assert builds > len(detectors)
-        layout = PROFILER.snapshot()["layout"]
-        assert layout["calls"] == builds
+        snap = PROFILER.snapshot()
+        layout = snap["layout"]
+        assert layout["calls"] == 2 * len(banks)
         assert 0.0 < layout["seconds"] <= report.seconds
+        # One scatter per bank and chunk, not one per detector.
+        scatter = snap["scatter"]
+        assert scatter["calls"] == sum(ingests)
+        assert len(banks) < sum(ingests) <= len(banks) * report.chunks
+        assert 0.0 < scatter["seconds"] <= report.seconds
 
     def test_profiled_pass_splits_kmv_from_l0_inserts(self, monkeypatch):
         # LargeSet's case-2b bank is credited to kmv-insert, its inserts
