@@ -21,7 +21,7 @@ from pathlib import Path
 from repro import (
     EdgeStream,
     EstimateMaxCover,
-    ShardedStreamRunner,
+    PersistentShardExecutor,
     StreamRunner,
     planted_cover,
 )
@@ -49,9 +49,10 @@ def main() -> int:
         scalar_value = scalar.estimate()
 
         mapped = EdgeStream.load_binary(binary_path, mmap=True)
-        merged, report = ShardedStreamRunner(
-            workers=WORKERS, chunk_size=512, backend="process"
-        ).run(factory, mapped)
+        with PersistentShardExecutor(
+            factory, workers=WORKERS, chunk_size=512, backend="process"
+        ) as pool:
+            merged, report = pool.run(mapped)
         sharded_value = merged.estimate()
 
     print(

@@ -1,19 +1,17 @@
-"""CI smoke check: the persistent pool wins, and changes no bits.
+"""CI smoke check: every shard-pool submission equals the single pass.
 
-Runs the same stream ``RUNS`` times through (a) a fresh
-``ShardedStreamRunner`` pool per run and (b) one resident
-``PersistentShardExecutor``, with real worker processes on both sides,
-and requires:
+Runs the same stream ``RUNS`` times through one resident
+``PersistentShardExecutor`` with real worker processes, and requires:
 
-* **bit-identical state** -- every persistent run's ``state_arrays``
-  must equal the per-run pool's byte for byte (same boundaries, same
-  merge order, so no canonicalisation is needed);
-* **throughput** -- total wall clock for the persistent pool's runs
-  must not exceed the per-run pools' (amortising spawn + construction
-  is the executor's reason to exist, and it holds on any box);
-* **scaling** (only on >= 4 CPU machines) -- steady-state persistent
-  throughput must reach ``workers / 2`` times the single-pass rate;
-  skipped with a message, not failed, on smaller boxes.
+* **bit-identical state** -- every submission's merged
+  ``state_arrays`` must equal the single pass's
+  (``repro.sketch.serialize.state_difference`` comes back empty), and
+  its estimate and ``tokens_seen`` must match.  The first submission
+  runs on the workers' start-up algorithms, every later one on the
+  algorithms they rebuilt after the previous collect;
+* **scaling** (only on >= 4 CPU machines) -- steady-state throughput
+  must reach ``workers / 2`` times the single-pass rate; skipped with
+  a message, not failed, on smaller boxes.
 
 Exits non-zero on any violation; designed to finish inside a minute.
 
@@ -24,34 +22,20 @@ from __future__ import annotations
 
 import os
 import sys
-import time
 from functools import partial
-
-import numpy as np
 
 from repro import (
     EdgeStream,
     EstimateMaxCover,
     PersistentShardExecutor,
-    ShardedStreamRunner,
     StreamRunner,
     planted_cover,
 )
+from repro.sketch.serialize import state_difference
 
 N, M, K, ALPHA = 300, 150, 6, 3.0
 WORKERS = 2
 RUNS = 4
-
-
-def _states_identical(left, right) -> bool:
-    left_state = left.state_arrays()
-    right_state = right.state_arrays()
-    if left_state.keys() != right_state.keys():
-        return False
-    return all(
-        np.array_equal(np.asarray(left_state[k]), np.asarray(right_state[k]))
-        for k in left_state
-    )
 
 
 def main() -> int:
@@ -61,46 +45,35 @@ def main() -> int:
 
     single = factory()
     single_report = StreamRunner(chunk_size=512).run(single, stream)
-
-    per_run_start = time.perf_counter()
-    for _ in range(RUNS):
-        per_run_algo, _ = ShardedStreamRunner(
-            workers=WORKERS, chunk_size=512, backend="process"
-        ).run(factory, stream)
-    per_run_seconds = time.perf_counter() - per_run_start
+    single_state = single.state_arrays()
+    single_value = single.estimate()
 
     steady_state = 0.0
     with PersistentShardExecutor(
-        factory, workers=WORKERS, chunk_size=512
+        factory, workers=WORKERS, chunk_size=512, backend="process"
     ) as pool:
-        # Workers (and their plans) are resident from here on; the
-        # timed window covers the RUNS submissions, which is how a
-        # long-lived pool is actually used.
-        persistent_start = time.perf_counter()
         for run in range(RUNS):
-            persistent_algo, report = pool.run(stream)
-            if not _states_identical(per_run_algo, persistent_algo):
-                print(f"FAIL: run {run} state differs from the per-run pool")
+            merged, report = pool.run(stream)
+            difference = state_difference(merged.state_arrays(), single_state)
+            if difference is not None:
+                print(f"FAIL: run {run} state differs: {difference}")
+                return 1
+            if merged.tokens_seen != single.tokens_seen:
+                print(f"FAIL: run {run} token count differs")
+                return 1
+            if merged.estimate() != single_value:
+                print(f"FAIL: run {run} estimate differs")
                 return 1
             if run > 0:
                 steady_state = max(steady_state, report.tokens_per_sec)
-    persistent_seconds = time.perf_counter() - persistent_start
 
     print(
         f"{RUNS} runs x {WORKERS} workers on {len(stream)} edges\n"
-        f"per-run pools:   {per_run_seconds:.2f}s total\n"
-        f"persistent pool: {persistent_seconds:.2f}s total "
-        f"(steady state {steady_state:.0f} tokens/sec)\n"
-        f"single pass:     {single_report.tokens_per_sec:.0f} tokens/sec\n"
-        f"state: bit-identical across all runs"
+        f"single-pass estimate: {single_value!r}\n"
+        f"steady state: {steady_state:.0f} tokens/sec "
+        f"(single pass {single_report.tokens_per_sec:.0f})\n"
+        f"state: bit-identical to the single pass on every run"
     )
-
-    if persistent_seconds > per_run_seconds:
-        print(
-            "FAIL: the persistent pool should amortise spawn/construction "
-            "and beat fresh pools over repeated runs"
-        )
-        return 1
 
     cpus = os.cpu_count() or 1
     if cpus >= 4:

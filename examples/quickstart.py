@@ -19,7 +19,7 @@ from repro import (
     EdgeStream,
     EstimateMaxCover,
     MaxCoverReporter,
-    ShardedStreamRunner,
+    PersistentShardExecutor,
     StreamRunner,
     lazy_greedy,
     planted_cover,
@@ -82,10 +82,10 @@ def main() -> None:
     factory = functools.partial(
         EstimateMaxCover, m=m, n=n, k=k, alpha=alpha, z_base=4.0, seed=42
     )
-    sharded = ShardedStreamRunner(workers=2, chunk_size=4096)
-    merged, shard_report = sharded.run(factory, stream)
+    with PersistentShardExecutor(factory, workers=2, chunk_size=4096) as pool:
+        merged, shard_report = pool.run(stream)
     print(
-        f"\nShardedStreamRunner(workers=2): estimate "
+        f"\nPersistentShardExecutor(workers=2): estimate "
         f"{merged.estimate():.0f} (single-pass gave {estimate:.0f})"
     )
     for timing in shard_report.shards:

@@ -3,8 +3,9 @@
 The end-to-end production data plane: synthesise a workload, write it
 once as the columnar binary format, memory-map it back (load is O(1) --
 no parsing, pages fault in on demand), and run a sharded estimate where
-each worker receives a ~100-byte shard descriptor instead of a pickled
-copy of its slice of the stream.  The answer is bit-identical to the
+each worker receives a ~100-byte shard descriptor instead of its slice
+of the stream: a shared-memory range for an in-memory stream, a file
+range for the memory-mapped one.  The answer is bit-identical to the
 single-pass run over the text file -- the format and the dispatch path
 change *how bytes move*, never the numbers.
 
@@ -21,7 +22,7 @@ from pathlib import Path
 from repro import (
     EdgeStream,
     EstimateMaxCover,
-    ShardedStreamRunner,
+    PersistentShardExecutor,
     StreamRunner,
     planted_cover,
 )
@@ -59,26 +60,24 @@ def main() -> None:
     StreamRunner(chunk_size=4096).run(single, EdgeStream.load(text_path))
     reference = single.estimate()
 
-    # --- sharded runs: same bits, three data planes ---------------------
-    for dispatch, target in [
-        ("pickle", stream),
-        ("shared_memory", stream),
-        ("mmap", mapped),
-    ]:
-        runner = ShardedStreamRunner(
-            workers=2, chunk_size=4096, backend="process", dispatch=dispatch
-        )
-        merged, report = runner.run(factory, target)
-        match = "EXACT MATCH" if merged.estimate() == reference else "MISMATCH"
-        print(
-            f"{dispatch:>13} dispatch: estimate {merged.estimate():.1f} "
-            f"({match}), payload {report.dispatch_bytes:,} bytes, "
-            f"{report.tokens_per_sec:,.0f} tokens/sec"
-        )
+    # --- sharded runs: same bits, two data planes -----------------------
+    # One resident pool serves both submissions; "auto" dispatch picks
+    # shared memory for the in-memory stream and mmap for the mapped one.
+    with PersistentShardExecutor(factory, workers=2, chunk_size=4096) as pool:
+        for target in (stream, mapped):
+            merged, report = pool.run(target)
+            match = (
+                "EXACT MATCH" if merged.estimate() == reference else "MISMATCH"
+            )
+            print(
+                f"{report.dispatch:>13} dispatch: estimate "
+                f"{merged.estimate():.1f} ({match}), payload "
+                f"{report.dispatch_bytes:,} bytes, "
+                f"{report.tokens_per_sec:,.0f} tokens/sec"
+            )
     print(
-        "\ndescriptor payloads (shared_memory/mmap) stay constant no "
-        "matter how long the stream grows; the pickled payload is the "
-        "stream."
+        "\ndescriptor payloads stay constant no matter how long the "
+        "stream grows."
     )
 
 

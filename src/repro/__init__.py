@@ -48,7 +48,6 @@ from repro.base import (
 from repro.parallel import (
     PersistentShardExecutor,
     ShardedRunReport,
-    ShardedStreamRunner,
     ShardExecutionError,
     ShardTiming,
 )
@@ -95,7 +94,6 @@ __all__ = [
     "MergeIncompatibleError",
     "StreamRunner",
     "RunReport",
-    "ShardedStreamRunner",
     "ShardedRunReport",
     "ShardTiming",
     "PersistentShardExecutor",

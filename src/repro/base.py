@@ -124,10 +124,15 @@ class StreamingAlgorithm(abc.ABC):
             )
 
     def process(self, *token) -> None:
-        """Feed one stream token to the algorithm."""
+        """Feed one stream token to the algorithm.
+
+        The token counts in :attr:`tokens_seen` only once the kernel
+        accepts it; a token the kernel rejects leaves the count as it
+        was.
+        """
         self._check_open()
-        self._tokens_seen += 1
         self._process(*token)
+        self._tokens_seen += 1
 
     def process_stream(self, stream) -> "StreamingAlgorithm":
         """Feed every token of an iterable, then return ``self``.
@@ -164,8 +169,8 @@ class StreamingAlgorithm(abc.ABC):
                 "batch columns must have equal lengths, got "
                 f"{[len(a) for a in arrays]}"
             )
-        self._tokens_seen += length
         self._process_batch(*arrays)
+        self._tokens_seen += length
         return self
 
     def _process_batch(self, *columns) -> None:
@@ -185,8 +190,9 @@ class StreamingAlgorithm(abc.ABC):
         superset-id counts for one scatter).
         """
         self._check_open()
+        result = self._process_planned(set_ids, elements, ctx)
         self._tokens_seen += len(set_ids)
-        return self._process_planned(set_ids, elements, ctx)
+        return result
 
     def _process_planned(self, set_ids, elements, ctx):
         """Planned batch kernel; defaults to the leaf batch kernel."""

@@ -31,8 +31,6 @@ Examples
     python -m repro generate planted --n 500 --m 250 --k 8 --out edges.txt
     python -m repro convert edges.txt edges.npz
     python -m repro estimate edges.npz --k 8 --alpha 4 --mmap --workers 4
-    python -m repro estimate edges.npz --k 8 --alpha 4 --mmap --workers 4 \\
-        --executor persistent
     python -m repro estimate edges.txt --k 8 --alpha 4
     python -m repro report edges.txt --k 8 --alpha 4
     python -m repro tradeoff edges.txt --k 8 --alphas 2 4 8 16
@@ -130,16 +128,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--workers",
             type=positive_int,
             default=1,
-            help="shard the stream over this many processes and merge "
-            "the sketches (identical answer, vectorized engine only)",
-        )
-        p.add_argument(
-            "--executor",
-            choices=("per-run", "persistent"),
-            default="per-run",
-            help="worker-pool lifecycle when --workers > 1: spawn a "
-            "fresh pool for the run, or keep a resident pool whose "
-            "workers build their algorithm and evaluation plan once",
+            help="shard the stream over this many worker processes and "
+            "merge the sketches (identical answer, vectorized engine only)",
         )
 
     est = sub.add_parser("estimate", help="estimate optimal coverage")
@@ -250,23 +240,15 @@ def _run_maybe_sharded(args, factory, stream):
             )
         if args.chunk_size == "auto":
             raise SystemExit(
-                "--chunk-size auto requires --workers 1: shard "
-                "executors pin one chunk size across the pool"
+                "--chunk-size auto requires --workers 1: the shard "
+                "executor pins one chunk size across the pool"
             )
-        if getattr(args, "executor", "per-run") == "persistent":
-            from repro.parallel import PersistentShardExecutor
+        from repro.parallel import PersistentShardExecutor
 
-            with PersistentShardExecutor(
-                factory,
-                workers=workers,
-                chunk_size=args.chunk_size,
-            ) as pool:
-                return pool.run(stream)
-        from repro.parallel import ShardedStreamRunner
-
-        return ShardedStreamRunner(
-            workers=workers, chunk_size=args.chunk_size
-        ).run(factory, stream)
+        with PersistentShardExecutor(
+            factory, workers=workers, chunk_size=args.chunk_size
+        ) as pool:
+            return pool.run(stream)
     algo = factory()
     report = _runner(args).run(algo, stream)
     return algo, report

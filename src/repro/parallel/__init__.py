@@ -1,32 +1,23 @@
 """Sharded parallel stream execution over mergeable sketches.
 
-Two executors share one data plane (shard descriptors over shared
-memory / mmap, flat ``.npz`` state blobs back, stream-order merge) and
-one correctness contract (bit-identical to the scalar single pass):
+One executor, :class:`~repro.parallel.persistent.PersistentShardExecutor`,
+keeps a resident worker pool.  Each submission splits the stream into
+contiguous shards and ships every worker a shard descriptor of about
+100 bytes over shared memory, or an mmap range for a file-backed
+stream.  Workers send their flat ``.npz`` state blobs back, the
+coordinator merges them in stream order, and the merged state is
+bit-identical to the scalar single pass.  After each collect a worker
+rebuilds its algorithm from the factory, so submissions never share
+state.
 
-* :class:`~repro.parallel.sharded.ShardedStreamRunner` -- a pool per
-  ``run`` call.  Simple, stateless between calls, and the historical
-  baseline; every run pays pool spawn + per-worker algorithm and plan
-  construction.
-* :class:`~repro.parallel.persistent.PersistentShardExecutor` -- a
-  resident pool.  Workers are spawned once, build their algorithm and
-  fused evaluation plan once, and subsequent submissions ship only
-  ~100-byte shard descriptors; state travels once per ``collect``.
-  This is what makes sharding actually beat the single pass: the fixed
-  costs are amortised across submissions instead of charged to each.
-
-Importing from ``repro.parallel`` is the stable API; the split into
-``sharded`` / ``persistent`` modules is an implementation detail.
+Importing from ``repro.parallel`` is the stable API.
 """
 
 from repro.parallel.persistent import (
     PersistentShardExecutor,
     ShardExecutionError,
-)
-from repro.parallel.sharded import (
     ShardTiming,
     ShardedRunReport,
-    ShardedStreamRunner,
     compute_shard_bounds,
     dispatch_payload_bytes,
     resolve_dispatch,
@@ -35,7 +26,6 @@ from repro.parallel.sharded import (
 __all__ = [
     "ShardTiming",
     "ShardedRunReport",
-    "ShardedStreamRunner",
     "PersistentShardExecutor",
     "ShardExecutionError",
     "compute_shard_bounds",

@@ -1,31 +1,42 @@
-"""Long-lived worker-pool executor: sharding that amortises its setup.
+"""The shard executor: a resident worker pool over mergeable sketches.
 
-:class:`~repro.parallel.sharded.ShardedStreamRunner` is correct but pays
-its fixed costs on *every* ``run`` call: a fresh ``multiprocessing``
-pool is spawned, each worker re-imports the package, re-constructs its
-algorithm, and re-builds the fused evaluation plan
-(:mod:`repro.engine.plan`) from scratch -- costs that dwarf the actual
-pass on all but huge streams, which is exactly the throughput inversion
-``BENCH_throughput.json`` recorded (2-worker sharded runs slower than
-the single pass).
+The paper's algorithms are built from *linear* (mergeable) sketches, and
+mergeability is what makes the general streaming model
+distribution-friendly: split the edge sequence into contiguous shards,
+run an identically-seeded copy of the algorithm on each shard in its own
+process, ship the state arrays back, and merge in shard order.  Because
+every ``merge`` in this package reconciles non-linear state on the
+combined token schedule, the merged coordinator state is the
+single-pass state, byte for byte (``tests/test_shard_equivalence.py``
+and ``tests/test_persistent_executor.py`` check it against the scalar
+reference).
 
-:class:`PersistentShardExecutor` keeps the pool alive instead:
+:class:`PersistentShardExecutor` keeps its pool alive between passes:
 
-* **Workers are spawned once.**  Each worker constructs its
-  identically-seeded algorithm -- and therefore its fused evaluation
-  plan -- exactly once, at startup, and keeps both resident.
+* **Workers are spawned once.**  Each worker builds its
+  identically-seeded algorithm at startup and keeps it resident.
+  ``factory`` (not an instance) is the unit of distribution, so every
+  worker has the same hash seeds -- the precondition every ``merge``
+  validates.
 * **Submissions ship descriptors, not data.**  ``submit(stream)``
-  sends each worker one ~100-byte shard descriptor (a shared-memory or
-  mmap ``[lo, hi)`` range, reusing the PR 4 data plane); workers stream
-  their shard into the resident algorithm.
+  sends each worker one shard descriptor of about 100 bytes, whatever
+  the stream's length.  On ``shared_memory`` dispatch the coordinator
+  copies the stream's two int64 columns into one
+  ``multiprocessing.shared_memory`` block and each worker receives
+  ``(block name, [lo, hi))``.  When the stream is a memory-mapped
+  binary file (``EdgeStream.load_binary(..., mmap=True)``), even that
+  copy is skipped: workers receive the file path and page the columns
+  straight from the OS cache (``mmap`` dispatch).
 * **State ships once, on collect.**  ``collect()`` asks every worker
-  for its flat ``.npz`` state blob, merges the shards left-to-right in
-  stream order (bit-identical to the single pass, same contract as the
-  per-run runner), and resets each worker to its pristine snapshot so
-  the next submission starts from factory-fresh state without paying
-  reconstruction.
+  for its flat ``.npz`` state blob (:func:`~repro.sketch.serialize.dumps_state`,
+  no code pickling), merges the shards left to right in stream order,
+  and each worker resets by dropping its algorithm and calling
+  ``factory()`` again once the blob is sent.  A rebuild costs a few
+  percent of loading a snapshot of the fresh state back (the blob of a
+  fresh reference estimator is tens of megabytes), and the old and the
+  new estimator are never resident together.
 
-Lifecycle management the per-run pool never needed:
+Lifecycle management:
 
 * **Context manager** -- ``with PersistentShardExecutor(factory) as
   pool:`` guarantees worker shutdown and shared-memory unlink on every
@@ -45,19 +56,21 @@ Usage::
 
     factory = partial(EstimateMaxCover, m=150, n=300, k=6, alpha=3.0, seed=7)
     with PersistentShardExecutor(factory, workers=4) as pool:
-        for stream in streams:          # pool + plans built once
+        for stream in streams:          # workers built once
             algo, report = pool.run(stream)
             print(algo.estimate(), report.tokens_per_sec)
 
 The ``serial`` backend runs the identical submit/collect protocol
-in-process (resident worker objects, pristine-snapshot resets, wire
-format state shipping) and is the deterministic test harness.
+in-process (resident worker objects, the same shard descriptors,
+rebuild resets, wire-format state shipping) and is the deterministic
+test harness.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
+import pickle
 import queue
 import threading
 import time
@@ -66,20 +79,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.base import check_positive_int
+from repro.base import RunReport, check_positive_int
 from repro.engine.profile import PROFILER
-from repro.parallel.sharded import (
-    ShardTiming,
-    ShardedRunReport,
-    _resolve_shard,
-    _stream_columns,
-    compute_shard_bounds,
-    dispatch_payload_bytes,
-    resolve_dispatch,
-)
 from repro.sketch.serialize import dumps_state, loads_state
 
-__all__ = ["ShardExecutionError", "PersistentShardExecutor"]
+__all__ = [
+    "ShardExecutionError",
+    "ShardTiming",
+    "ShardedRunReport",
+    "PersistentShardExecutor",
+    "compute_shard_bounds",
+    "resolve_dispatch",
+    "dispatch_payload_bytes",
+]
 
 
 class ShardExecutionError(RuntimeError):
@@ -92,18 +104,196 @@ class ShardExecutionError(RuntimeError):
     """
 
 
-def _persistent_worker(index, factory, chunk_size, tasks, results):
-    """Worker main loop: construct once, then serve shard/collect tasks.
+@dataclass(frozen=True)
+class ShardTiming:
+    """Per-shard accounting inside a :class:`ShardedRunReport`.
 
-    Module-level so it pickles under any start method.  The algorithm
-    (and therefore its fused evaluation plan) is constructed exactly
-    once; a pristine state snapshot taken before the first token is
-    restored after every ``collect`` so submissions never see each
-    other's state.  Every processed chunk emits a heartbeat.
+    Attributes
+    ----------
+    shard:
+        Shard index (shards are contiguous stream ranges, in order).
+    tokens:
+        Edges the shard processed.
+    seconds:
+        Wall-clock duration of the shard's pass (excludes shipping).
+    """
+
+    shard: int
+    tokens: int
+    seconds: float
+
+
+@dataclass(frozen=True)
+class ShardedRunReport(RunReport):
+    """A :class:`~repro.base.RunReport` plus sharding detail.
+
+    ``tokens``/``chunks``/``seconds`` describe the whole sharded run
+    (``seconds`` is submit-to-merged wall clock, so ``tokens_per_sec``
+    reflects realised parallel throughput); ``shards`` breaks the pass
+    down.  ``dispatch`` records which data plane carried the shards
+    (``"shared_memory"`` or ``"mmap"``) and ``dispatch_bytes`` how many
+    bytes of descriptor were shipped to workers in total -- O(workers),
+    whatever the stream's length.
+    """
+
+    workers: int = 1
+    merge_seconds: float = 0.0
+    shards: tuple[ShardTiming, ...] = field(default_factory=tuple)
+    dispatch: str = "shared_memory"
+    dispatch_bytes: int = 0
+
+
+def compute_shard_bounds(
+    total: int, workers: int, boundaries: list[int] | None = None
+) -> list[tuple[int, int]]:
+    """``[lo, hi)`` token ranges, one per worker, covering ``total``.
+
+    By default the split is balanced-contiguous; explicit interior
+    ``boundaries`` (sorted cut indices) override it, which the
+    equivalence tests use to probe pathologically uneven splits.  A
+    boundary list is rejected unless it yields exactly ``workers``
+    contiguous shards that cover ``[0, total)`` -- out-of-range or
+    unsorted cuts would silently drop or double-process tokens.
+    """
+    if boundaries is None:
+        return [
+            ((i * total) // workers, ((i + 1) * total) // workers)
+            for i in range(workers)
+        ]
+    cuts = [int(b) for b in boundaries]
+    if len(cuts) != workers - 1:
+        raise ValueError(
+            f"boundaries must supply exactly {workers - 1} interior cut "
+            f"indices for {workers} shards, got {len(cuts)}: {boundaries}"
+        )
+    if any(lo > hi for lo, hi in zip(cuts, cuts[1:])):
+        raise ValueError(
+            f"boundaries must be sorted ascending, got {boundaries}"
+        )
+    if cuts and (cuts[0] < 0 or cuts[-1] > total):
+        raise ValueError(
+            f"boundaries must lie in [0, {total}] so the shards cover "
+            f"the whole stream, got {boundaries}"
+        )
+    edges = [0, *cuts, total]
+    return list(zip(edges[:-1], edges[1:]))
+
+
+def resolve_dispatch(stream, dispatch: str) -> str:
+    """The concrete dispatch path for one submission.
+
+    ``"auto"`` picks ``"mmap"`` for a file-backed memory-mapped stream
+    and ``"shared_memory"`` otherwise, on either backend; explicit
+    values force a path.  ``"mmap"`` requires a stream loaded with
+    ``EdgeStream.load_binary(..., mmap=True)``.
+    """
+    mmap_backed = bool(
+        getattr(stream, "is_mmap", False)
+        and getattr(stream, "source_path", None)
+    )
+    if dispatch == "mmap" and not mmap_backed:
+        raise ValueError(
+            "dispatch='mmap' requires a file-backed memory-mapped "
+            "stream (EdgeStream.load_binary(path, mmap=True))"
+        )
+    if dispatch != "auto":
+        return dispatch
+    return "mmap" if mmap_backed else "shared_memory"
+
+
+def dispatch_payload_bytes(sources) -> int:
+    """Total pickled bytes of the shard descriptors shipped to workers."""
+    return sum(len(pickle.dumps(source)) for source in sources)
+
+
+def _resolve_shard(source):
+    """Materialise a shard descriptor into ``(set_ids, elements, shm)``.
+
+    ``source`` is one of::
+
+        ("shm", name, total, lo, hi)         # shared-memory block + range
+        ("mmap", path, lo, hi)               # binary file + range
+
+    The returned ``shm`` handle (shared-memory path only) must stay open
+    while the columns are in use and be closed by the caller afterwards.
+    """
+    kind = source[0]
+    if kind == "shm":
+        _, name, total, lo, hi = source
+        from multiprocessing import shared_memory
+
+        # Workers are always children of the coordinator, so attaching
+        # re-registers the block with the same resource tracker (a
+        # set-level no-op); the coordinator alone unlinks it.
+        shm = shared_memory.SharedMemory(name=name)
+        columns = np.ndarray((2, total), dtype=np.int64, buffer=shm.buf)
+        return columns[0, lo:hi], columns[1, lo:hi], shm
+    if kind == "mmap":
+        _, path, lo, hi = source
+        from repro.streams.io import load_columns
+
+        set_ids, elements, _m, _n = load_columns(path, mmap=True)
+        return set_ids[lo:hi], elements[lo:hi], None
+    raise ValueError(f"unknown shard source kind {kind!r}")
+
+
+def _stream_columns(stream) -> tuple[np.ndarray, np.ndarray]:
+    """The stream's ``(set_ids, elements)`` columns as int64 arrays.
+
+    Columnar streams hand back their own columns (zero copies); plain
+    iterables are materialised once.
+    """
+    if hasattr(stream, "as_arrays"):
+        set_ids, elements = stream.as_arrays()
+        return (
+            np.ascontiguousarray(set_ids, dtype=np.int64),
+            np.ascontiguousarray(elements, dtype=np.int64),
+        )
+    edges = list(stream)
+    if not edges:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty.copy()
+    arr = np.asarray(edges, dtype=np.int64)
+    return arr[:, 0].copy(), arr[:, 1].copy()
+
+
+def _ingest_shard(algo, source, chunk_size, beat=None):
+    """Feed one shard's edges to ``algo``; ``(tokens, chunks, seconds)``.
+
+    ``beat`` is called after every chunk (the process worker's
+    heartbeat).
+    """
+    set_ids, elements, shm = _resolve_shard(source)
+    try:
+        tokens = len(set_ids)
+        start = time.perf_counter()
+        chunks = 0
+        for lo in range(0, tokens, chunk_size):
+            algo.process_batch(
+                set_ids[lo : lo + chunk_size],
+                elements[lo : lo + chunk_size],
+            )
+            chunks += 1
+            if beat is not None:
+                beat()
+        return tokens, chunks, time.perf_counter() - start
+    finally:
+        if shm is not None:
+            # Drop every view into the block before closing the mapping.
+            del set_ids, elements
+            shm.close()
+
+
+def _persistent_worker(index, factory, chunk_size, tasks, results):
+    """Worker main loop: build, then serve shard/collect tasks.
+
+    Module-level so it pickles under any start method.  After every
+    ``collect`` the worker ships its state blob, drops its algorithm
+    and builds a fresh one with ``factory()``, so submissions never see
+    each other's state.  Every processed chunk emits a heartbeat.
     """
     try:
         algo = factory()
-        pristine = dumps_state(algo)
     except BaseException:  # noqa: BLE001 - shipped to the coordinator
         results.put(("error", index, (-1, -1, traceback.format_exc())))
         return
@@ -116,24 +306,12 @@ def _persistent_worker(index, factory, chunk_size, tasks, results):
         if kind == "shard":
             _, epoch, shard_index, source = message
             try:
-                set_ids, elements, shm = _resolve_shard(source)
-                try:
-                    tokens = len(set_ids)
-                    start = time.perf_counter()
-                    chunks = 0
-                    for lo in range(0, tokens, chunk_size):
-                        algo.process_batch(
-                            set_ids[lo : lo + chunk_size],
-                            elements[lo : lo + chunk_size],
-                        )
-                        chunks += 1
-                        results.put(("beat", index, epoch))
-                    seconds = time.perf_counter() - start
-                finally:
-                    if shm is not None:
-                        # Drop every view before closing the mapping.
-                        del set_ids, elements
-                        shm.close()
+                tokens, chunks, seconds = _ingest_shard(
+                    algo,
+                    source,
+                    chunk_size,
+                    lambda: results.put(("beat", index, epoch)),
+                )
                 results.put(
                     ("done", index, (epoch, shard_index, tokens, chunks, seconds))
                 )
@@ -145,47 +323,39 @@ def _persistent_worker(index, factory, chunk_size, tasks, results):
             _, epoch = message
             try:
                 blob = dumps_state(algo)
-                loads_state(algo, pristine)
-                results.put(("state", index, (epoch, blob)))
             except BaseException:  # noqa: BLE001
                 results.put(("error", index, (epoch, -1, traceback.format_exc())))
+                continue
+            # Send first, then rebuild: the old algorithm is freed before
+            # the new one is built, and the rebuild overlaps the merge.  A
+            # failed rebuild ends the process; the next submission
+            # respawns it.
+            algo = None
+            results.put(("state", index, (epoch, blob)))
+            del blob
+            algo = factory()
 
 
 class _SerialWorker:
     """In-process stand-in for a worker process (deterministic harness).
 
-    Same resident-state semantics: the algorithm and its plan are built
-    once, shards accumulate into it, and ``collect`` ships the wire
-    format blob then restores the pristine snapshot.
+    Same resident-state semantics: the algorithm is built once, shards
+    accumulate into it, and ``collect`` ships the wire-format blob, then
+    rebuilds the algorithm with ``factory()``.
     """
 
-    def __init__(self, index, factory, chunk_size):
-        self.index = index
+    def __init__(self, factory, chunk_size):
+        self._factory = factory
         self._chunk_size = chunk_size
         self._algo = factory()
-        self._pristine = dumps_state(self._algo)
 
     def run_shard(self, source):
-        set_ids, elements, shm = _resolve_shard(source)
-        try:
-            tokens = len(set_ids)
-            start = time.perf_counter()
-            chunks = 0
-            for lo in range(0, tokens, self._chunk_size):
-                self._algo.process_batch(
-                    set_ids[lo : lo + self._chunk_size],
-                    elements[lo : lo + self._chunk_size],
-                )
-                chunks += 1
-            return tokens, chunks, time.perf_counter() - start
-        finally:
-            if shm is not None:
-                del set_ids, elements
-                shm.close()
+        return _ingest_shard(self._algo, source, self._chunk_size)
 
     def collect(self) -> bytes:
         blob = dumps_state(self._algo)
-        loads_state(self._algo, self._pristine)
+        self._algo = None
+        self._algo = self._factory()
         return blob
 
 
@@ -206,10 +376,10 @@ class _PendingEpoch:
 
     epoch: int
     total: int
-    sources: list
     dispatch: str
-    dispatch_bytes: int
     started: float
+    sources: list = field(default_factory=list)
+    dispatch_bytes: int = 0
     shm: object = None
     replayed: set = field(default_factory=set)
 
@@ -233,8 +403,8 @@ class PersistentShardExecutor:
         Zero-argument callable building identically-parameterised
         algorithm instances (same seeds every call); must be picklable
         on the process backend -- ``functools.partial(EstimateMaxCover,
-        m=..., seed=...)`` is the canonical form.  Constructed once per
-        worker, at pool startup.
+        m=..., seed=...)`` is the canonical form.  Called once per
+        worker at pool startup, and again after every ``collect``.
     workers:
         Pool size, and therefore shards per submission.  ``"auto"``
         sizes to ``os.cpu_count()``.
@@ -244,9 +414,11 @@ class PersistentShardExecutor:
         ``"process"`` (real worker processes) or ``"serial"`` (the same
         protocol in-process; deterministic tests / no-pool fallback).
     dispatch:
-        Shard data plane, same choices as
-        :class:`~repro.parallel.sharded.ShardedStreamRunner`:
-        ``auto | pickle | shared_memory | mmap``.
+        Shard data plane: ``auto | shared_memory | mmap``.  ``"auto"``
+        (default) picks ``"mmap"`` for a file-backed memory-mapped
+        stream and ``"shared_memory"`` otherwise, on both backends;
+        ``"mmap"`` requires a stream loaded with
+        ``EdgeStream.load_binary(..., mmap=True)``.
     heartbeat_timeout:
         Seconds of worker silence (no chunk heartbeat, no result) while
         work is outstanding before the pool declares the worker hung
@@ -259,7 +431,7 @@ class PersistentShardExecutor:
     """
 
     BACKENDS = ("process", "serial")
-    DISPATCH = ("auto", "pickle", "shared_memory", "mmap")
+    DISPATCH = ("auto", "shared_memory", "mmap")
 
     def __init__(
         self,
@@ -331,8 +503,8 @@ class PersistentShardExecutor:
         if self.backend == "serial":
             if not self._workers:
                 self._workers = [
-                    _SerialWorker(i, self.factory, self.chunk_size)
-                    for i in range(self.workers)
+                    _SerialWorker(self.factory, self.chunk_size)
+                    for _ in range(self.workers)
                 ]
             return
         if self._results is None:
@@ -501,54 +673,36 @@ class PersistentShardExecutor:
         set_ids, elements = _stream_columns(stream)
         total = len(set_ids)
         bounds = compute_shard_bounds(total, self.workers, boundaries)
-        dispatch = resolve_dispatch(
-            stream, self.dispatch, self.backend, self.workers
+        dispatch = resolve_dispatch(stream, self.dispatch)
+        self._epoch += 1
+        pending = _PendingEpoch(
+            epoch=self._epoch, total=total, dispatch=dispatch, started=started
         )
-        shm = None
         try:
             if dispatch == "shared_memory":
                 from multiprocessing import shared_memory
 
-                shm = shared_memory.SharedMemory(
+                shm = pending.shm = shared_memory.SharedMemory(
                     create=True, size=max(1, 2 * total * 8)
                 )
                 block = np.ndarray((2, total), dtype=np.int64, buffer=shm.buf)
                 block[0] = set_ids
                 block[1] = elements
                 del block
-                sources = [
+                pending.sources = [
                     ("shm", shm.name, total, lo, hi) for lo, hi in bounds
                 ]
-            elif dispatch == "mmap":
-                path = stream.source_path
-                sources = [("mmap", path, lo, hi) for lo, hi in bounds]
             else:
-                sources = [
-                    ("arrays", set_ids[lo:hi], elements[lo:hi])
-                    for lo, hi in bounds
-                ]
-            self._epoch += 1
-            pending = _PendingEpoch(
-                epoch=self._epoch,
-                total=total,
-                sources=sources,
-                dispatch=dispatch,
-                dispatch_bytes=dispatch_payload_bytes(sources),
-                started=started,
-                shm=shm,
-            )
+                path = stream.source_path
+                pending.sources = [("mmap", path, lo, hi) for lo, hi in bounds]
+            pending.dispatch_bytes = dispatch_payload_bytes(pending.sources)
             if self.backend == "process":
-                for i, source in enumerate(sources):
+                for i, source in enumerate(pending.sources):
                     self._workers[i].tasks.put(
                         ("shard", pending.epoch, i, source)
                     )
         except BaseException:
-            if shm is not None:
-                shm.close()
-                try:
-                    shm.unlink()
-                except FileNotFoundError:
-                    pass
+            pending.release()
             raise
         self._pending = pending
         return pending.epoch
@@ -558,8 +712,7 @@ class PersistentShardExecutor:
 
         Returns ``(algo, report)``: the coordinator's merged algorithm
         (bit-identical to a single pass over the submitted stream) and
-        a :class:`~repro.parallel.sharded.ShardedRunReport` with
-        ``executor="persistent"``.  Always releases the submission's
+        a :class:`ShardedRunReport`.  Always releases the submission's
         shared memory, on success and on every failure path.
         """
         pending = self._pending
@@ -609,7 +762,6 @@ class PersistentShardExecutor:
             ),
             dispatch=pending.dispatch,
             dispatch_bytes=pending.dispatch_bytes,
-            executor="persistent",
         )
         self._arm_idle_timer()
         return merged, report

@@ -223,8 +223,8 @@ class EdgeStream:
 
         With ``mmap=True`` the columns are read-only memory maps into
         the file: load cost is O(1), pages fault in on demand, and
-        :class:`~repro.parallel.ShardedStreamRunner` can hand workers
-        the file path instead of array bytes.
+        :class:`~repro.parallel.PersistentShardExecutor` can hand
+        workers the file path instead of array bytes.
         """
         set_ids, elements, m, n = load_columns(path, mmap=mmap)
         stream = cls.from_columns(set_ids, elements, m=m, n=n, own=not mmap)

@@ -16,7 +16,7 @@ the zip directory, locates each member's raw ``.npy`` payload, and
 returns read-only ``np.memmap`` views -- a multi-GB stream "loads" in
 microseconds and pages in lazily, shared across processes through the
 OS page cache.  This is what makes the ``mmap`` shard-dispatch path in
-:class:`~repro.parallel.ShardedStreamRunner` O(1) per worker.
+:class:`~repro.parallel.PersistentShardExecutor` O(1) per worker.
 
 Format detection is by extension (``.npz`` is binary, everything else
 text) with a zip-magic sniff as the fallback, so renamed files still

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.base import SetArrivalAlgorithm, StreamConsumedError, StreamingAlgorithm
+from repro.sketch.contributing import F2Contributing
+from repro.sketch.countsketch import CountSketch
 
 
 class _Counter(StreamingAlgorithm):
@@ -76,6 +79,72 @@ class TestStreamingAlgorithm:
 
     def test_fresh_algorithm_not_finalized(self):
         assert not _Counter().finalized
+
+
+class _Rejecting(StreamingAlgorithm):
+    """Every kernel rejects its input."""
+
+    def _process(self, *token):
+        raise ValueError("rejected token")
+
+    def _process_batch(self, *columns):
+        raise ValueError("rejected batch")
+
+    def _process_planned(self, set_ids, elements, ctx):
+        raise ValueError("rejected chunk")
+
+    def space_words(self):
+        return 1
+
+
+class TestRejectedTokensDoNotCount:
+    """``tokens_seen`` advances only once the kernel accepts the input."""
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            lambda algo: algo.process(1, 2),
+            lambda algo: algo.process_batch([1, 2], [3, 4]),
+            lambda algo: algo._ingest_planned(
+                np.array([1, 2]), np.array([3, 4]), None
+            ),
+        ],
+        ids=["process", "process_batch", "ingest_planned"],
+    )
+    def test_every_entry_counts_after_the_kernel(self, entry):
+        algo = _Rejecting()
+        with pytest.raises(ValueError, match="rejected"):
+            entry(algo)
+        assert algo.tokens_seen == 0
+
+    @pytest.mark.parametrize(
+        "build, feed",
+        [
+            (
+                lambda: F2Contributing(0.05, 40, seed=3, domain=150),
+                lambda sketch: sketch.process_batch(np.array([3, 150])),
+            ),
+            (
+                lambda: CountSketch(64, 4, seed=1, domain=10),
+                lambda sketch: sketch.process(11),
+            ),
+        ],
+        ids=["contributing-batch", "countsketch-token"],
+    )
+    def test_out_of_domain_input_leaves_the_state(self, build, feed):
+        sketch = build()
+        sketch.process_batch(np.array([1, 2, 3]))
+        before = {
+            key: np.array(value, copy=True)
+            for key, value in sketch.state_arrays().items()
+        }
+        with pytest.raises(ValueError, match="domain"):
+            feed(sketch)
+        after = sketch.state_arrays()
+        assert sketch.tokens_seen == 3
+        assert after.keys() == before.keys()
+        for key in before:
+            assert np.array_equal(after[key], before[key]), key
 
 
 class TestSetArrivalAlgorithm:

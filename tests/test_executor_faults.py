@@ -6,6 +6,8 @@ behaviour:
 
 * a worker SIGKILLed mid-shard is respawned and its shard replayed,
   once, with the final merged state identical to an undisturbed run;
+* a worker whose post-collect rebuild fails exits after shipping its
+  state, and the next submission respawns it;
 * a worker that keeps dying on the same shard raises
   :class:`ShardExecutionError` instead of looping forever;
 * a worker that hangs (alive but silent past ``heartbeat_timeout``)
@@ -91,6 +93,25 @@ class _HangAlgo(EstimateMaxCover):
         time.sleep(600.0)
 
 
+_COORDINATOR = os.getpid()
+_WORKER_BUILDS = 0
+
+
+def _build_once_per_worker(**params):
+    """``EstimateMaxCover``, but a worker process's second build raises.
+
+    The coordinator (this test process) always builds; a forked worker
+    inherits a zero count, so its start-up build succeeds and the
+    rebuild after its first ``collect`` fails.
+    """
+    global _WORKER_BUILDS
+    if os.getpid() != _COORDINATOR:
+        _WORKER_BUILDS += 1
+        if _WORKER_BUILDS > 1:
+            raise RuntimeError("injected rebuild failure")
+    return EstimateMaxCover(**params)
+
+
 class _RaisingAlgo(EstimateMaxCover):
     """Raises from its pass -- the worker survives and reports it."""
 
@@ -124,7 +145,7 @@ class TestCrashRecovery:
     ):
         """One worker SIGKILLed mid-shard: the pool respawns it, replays
         the shard, and the merged answer is bit-identical to a healthy
-        run (replay starts from the fresh worker's pristine state)."""
+        run (replay starts from the respawned worker's fresh state)."""
         monkeypatch.setenv(_FLAG_ENV, str(tmp_path / "kill.flag"))
         factory = partial(
             _KillOnceAlgo, m=M, n=N, k=K, alpha=ALPHA, seed=7
@@ -186,6 +207,28 @@ class TestCrashRecovery:
         finally:
             pool.close()
         assert _shm_segments() <= before
+
+
+    def test_failed_rebuild_is_respawned(self, stream, reference):
+        """The state blob leaves before the rebuild, so a failing
+        rebuild costs the collect nothing; the worker exits, and the
+        next submission respawns it and answers exactly."""
+        factory = partial(
+            _build_once_per_worker, m=M, n=N, k=K, alpha=ALPHA, seed=7
+        )
+        with PersistentShardExecutor(
+            factory, workers=2, chunk_size=128, heartbeat_timeout=HEARTBEAT
+        ) as pool:
+            first, _ = pool.run(stream)
+            for handle in pool._workers:
+                handle.process.join(timeout=HEARTBEAT)
+                assert handle.process.exitcode not in (None, 0)
+            second, _ = pool.run(stream)
+        assert first.estimate() == reference
+        assert second.estimate() == reference
+        assert state_difference(
+            first.state_arrays(), second.state_arrays(), order_free=()
+        ) is None
 
 
 class TestHangDetection:

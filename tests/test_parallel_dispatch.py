@@ -2,9 +2,9 @@
 
 Complements ``tests/test_shard_equivalence.py`` (which proves the merged
 *answers* match a single pass): this file covers the data plane itself
--- shard-bound pathologies, the pickled vs shared-memory vs mmap
-dispatch paths returning identical bits, O(1) dispatch payloads, and
-shared-memory teardown when a worker dies mid-shard.
+-- shard-bound pathologies, the shared-memory and mmap dispatch paths
+returning the scalar pass's state byte for byte, O(1) dispatch
+payloads, and shared-memory teardown when a worker fails mid-shard.
 """
 
 from __future__ import annotations
@@ -17,18 +17,30 @@ import pytest
 from repro import (
     EdgeStream,
     EstimateMaxCover,
-    ShardedStreamRunner,
+    PersistentShardExecutor,
     StreamRunner,
     planted_cover,
 )
 from repro.parallel import compute_shard_bounds
+from repro.sketch.serialize import state_difference
 
 M, N, K, ALPHA = 60, 120, 4, 3.0
 FACTORY = partial(EstimateMaxCover, m=M, n=N, k=K, alpha=ALPHA, seed=7)
 
 
-def _boom_factory():
-    raise RuntimeError("worker construction failed")
+class _FailingPass(EstimateMaxCover):
+    """Builds normally, then fails its pass: the shared-memory block
+    exists by the time the worker raises."""
+
+    def process_batch(self, set_ids, elements):
+        raise RuntimeError("worker pass failed")
+
+
+def sharded_run(stream, workers=2, factory=FACTORY, **options):
+    """One pass through a fresh shard pool; ``(merged, report)``."""
+    options.setdefault("backend", "serial")
+    with PersistentShardExecutor(factory, workers=workers, **options) as pool:
+        return pool.run(stream)
 
 
 @pytest.fixture(scope="module")
@@ -38,10 +50,17 @@ def small_stream() -> EdgeStream:
 
 
 @pytest.fixture(scope="module")
-def reference(small_stream) -> float:
+def scalar_pass(small_stream):
     algo = FACTORY()
     StreamRunner(path="scalar").run(algo, small_stream)
-    return algo.estimate()
+    return algo
+
+
+def assert_matches_scalar(merged, scalar_pass) -> None:
+    assert state_difference(
+        merged.state_arrays(), scalar_pass.state_arrays()
+    ) is None
+    assert merged.estimate() == scalar_pass.estimate()
 
 
 def _shm_segments() -> set[str]:
@@ -53,8 +72,7 @@ def _shm_segments() -> set[str]:
 
 class TestShardBounds:
     def test_more_workers_than_tokens(self):
-        runner = ShardedStreamRunner(workers=5, backend="serial")
-        bounds = runner.shard_bounds(2)
+        bounds = compute_shard_bounds(2, 5)
         assert len(bounds) == 5
         assert bounds[0] == (0, 0)
         assert bounds[-1] == (1, 2)
@@ -62,43 +80,35 @@ class TestShardBounds:
         assert all(lo <= hi for lo, hi in bounds)
 
     def test_empty_stream_bounds(self):
-        runner = ShardedStreamRunner(workers=3, backend="serial")
-        assert runner.shard_bounds(0) == [(0, 0)] * 3
+        assert compute_shard_bounds(0, 3) == [(0, 0)] * 3
 
     def test_unsorted_boundaries_rejected(self):
-        runner = ShardedStreamRunner(workers=3, backend="serial")
         with pytest.raises(ValueError, match="boundaries"):
-            runner.shard_bounds(10, boundaries=[7, 3])
+            compute_shard_bounds(10, 3, boundaries=[7, 3])
 
     def test_wrong_boundary_count_rejected(self):
-        runner = ShardedStreamRunner(workers=3, backend="serial")
         with pytest.raises(ValueError, match="boundaries"):
-            runner.shard_bounds(10, boundaries=[5])
+            compute_shard_bounds(10, 3, boundaries=[5])
 
     def test_out_of_range_boundary_rejected(self):
-        runner = ShardedStreamRunner(workers=2, backend="serial")
         with pytest.raises(ValueError, match="boundaries"):
-            runner.shard_bounds(10, boundaries=[11])
+            compute_shard_bounds(10, 2, boundaries=[11])
 
-    def test_more_workers_than_tokens_runs(self, reference):
+    def test_more_workers_than_tokens_runs(self):
         """A run with mostly-empty shards still merges to the answer."""
         tiny = EdgeStream([(0, 1), (2, 3)], m=M, n=N)
         tiny_ref = FACTORY()
         StreamRunner(path="scalar").run(tiny_ref, tiny)
-        merged, report = ShardedStreamRunner(
-            workers=5, backend="serial"
-        ).run(FACTORY, tiny)
-        assert merged.estimate() == tiny_ref.estimate()
+        merged, report = sharded_run(tiny, workers=5)
+        assert_matches_scalar(merged, tiny_ref)
         assert sum(t.tokens for t in report.shards) == 2
 
     def test_empty_stream_runs(self):
         empty = EdgeStream([], m=M, n=N)
         fresh = FACTORY()
-        merged, report = ShardedStreamRunner(
-            workers=3, backend="serial"
-        ).run(FACTORY, empty)
+        merged, report = sharded_run(empty, workers=3)
         assert report.tokens == 0
-        assert merged.estimate() == fresh.estimate()
+        assert_matches_scalar(merged, fresh)
 
 
 class TestConfigEdgeCases:
@@ -107,11 +117,11 @@ class TestConfigEdgeCases:
     @pytest.mark.parametrize("workers", [0, -1, -8])
     def test_nonpositive_workers_rejected(self, workers):
         with pytest.raises(ValueError, match="workers"):
-            ShardedStreamRunner(workers=workers)
+            PersistentShardExecutor(FACTORY, workers=workers)
 
     def test_float_workers_rejected(self):
         with pytest.raises(ValueError, match="workers"):
-            ShardedStreamRunner(workers=2.5)
+            PersistentShardExecutor(FACTORY, workers=2.5)
 
     def test_wrong_count_message_names_the_counts(self):
         """The error must say how many cuts were expected and given, so
@@ -147,57 +157,56 @@ class TestConfigEdgeCases:
             (7, 10),
         ]
 
-    def test_report_labels_the_per_run_executor(self, small_stream):
-        _, report = ShardedStreamRunner(workers=2, backend="serial").run(
-            FACTORY, small_stream
-        )
-        assert report.executor == "per-run"
-
 
 class TestDispatchEquivalence:
-    @pytest.mark.parametrize("dispatch", ["pickle", "shared_memory"])
+    @pytest.mark.parametrize("dispatch", ["shared_memory"])
     @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_dispatch_paths_bit_identical(
-        self, small_stream, reference, backend, dispatch
+        self, small_stream, scalar_pass, backend, dispatch
     ):
-        merged, report = ShardedStreamRunner(
-            workers=2, chunk_size=128, backend=backend, dispatch=dispatch
-        ).run(FACTORY, small_stream)
-        assert merged.estimate() == reference
+        merged, report = sharded_run(
+            small_stream, chunk_size=128, backend=backend, dispatch=dispatch
+        )
+        assert_matches_scalar(merged, scalar_pass)
         assert report.dispatch == dispatch
 
     @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_mmap_dispatch_bit_identical(
-        self, small_stream, reference, tmp_path, backend
+        self, small_stream, scalar_pass, tmp_path, backend
     ):
         path = tmp_path / "s.npz"
         small_stream.save_binary(path)
         mapped = EdgeStream.load_binary(path, mmap=True)
-        merged, report = ShardedStreamRunner(
-            workers=2, chunk_size=128, backend=backend
-        ).run(FACTORY, mapped)
+        merged, report = sharded_run(
+            mapped, chunk_size=128, backend=backend
+        )
         assert report.dispatch == "mmap"
-        assert merged.estimate() == reference
+        assert_matches_scalar(merged, scalar_pass)
 
     def test_mmap_dispatch_requires_file_backing(self, small_stream):
-        runner = ShardedStreamRunner(
-            workers=2, backend="serial", dispatch="mmap"
-        )
         with pytest.raises(ValueError, match="mmap"):
-            runner.run(FACTORY, small_stream)
+            sharded_run(small_stream, dispatch="mmap")
 
     def test_auto_prefers_shared_memory_on_process_backend(
-        self, small_stream, reference
+        self, small_stream, scalar_pass
     ):
-        merged, report = ShardedStreamRunner(
-            workers=2, chunk_size=128, backend="process"
-        ).run(FACTORY, small_stream)
-        assert report.dispatch == "shared_memory"
-        assert merged.estimate() == reference
+        """``auto`` resolves the same descriptors on both backends, so
+        the serial harness exercises what worker processes receive."""
+        for backend in ("serial", "process"):
+            merged, report = sharded_run(
+                small_stream, chunk_size=128, backend=backend
+            )
+            assert report.dispatch == "shared_memory", backend
+            assert_matches_scalar(merged, scalar_pass)
 
     def test_unknown_dispatch_rejected(self):
         with pytest.raises(ValueError, match="dispatch"):
-            ShardedStreamRunner(dispatch="carrier_pigeon")
+            PersistentShardExecutor(FACTORY, dispatch="carrier_pigeon")
+
+    def test_pickle_dispatch_rejected(self):
+        """Column slices no longer travel in the payload."""
+        with pytest.raises(ValueError, match="dispatch"):
+            PersistentShardExecutor(FACTORY, dispatch="pickle")
 
 
 class TestDispatchBytes:
@@ -210,31 +219,22 @@ class TestDispatchBytes:
         long_edges = short.edges * 4
         long = EdgeStream(long_edges, m=short.m, n=short.n)
 
-        def bytes_for(stream, dispatch):
-            _, report = ShardedStreamRunner(
-                workers=2, backend="serial", dispatch=dispatch
-            ).run(FACTORY, stream)
+        def bytes_for(stream):
+            _, report = sharded_run(stream, dispatch="shared_memory")
             return report.dispatch_bytes
 
-        shm_short = bytes_for(short, "shared_memory")
-        shm_long = bytes_for(long, "shared_memory")
+        shm_short = bytes_for(short)
+        shm_long = bytes_for(long)
         # O(1) descriptors: a 4x longer stream costs the same payload
         # give or take a few bytes of integer width in the range fields.
         assert abs(shm_long - shm_short) <= 8
         assert shm_long < 1024
-        assert bytes_for(long, "pickle") > 4 * shm_long
-        # Pickle payloads scale with the stream.
-        assert bytes_for(long, "pickle") == pytest.approx(
-            4 * bytes_for(short, "pickle"), rel=0.01
-        )
 
     def test_mmap_payload_is_constant_size(self, small_stream, tmp_path):
         path = tmp_path / "s.npz"
         small_stream.save_binary(path)
         mapped = EdgeStream.load_binary(path, mmap=True)
-        _, report = ShardedStreamRunner(
-            workers=2, backend="serial"
-        ).run(FACTORY, mapped)
+        _, report = sharded_run(mapped)
         assert report.dispatch == "mmap"
         assert report.dispatch_bytes < 1024
 
@@ -243,17 +243,18 @@ class TestSharedMemoryCleanup:
     @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_segment_released_after_run(self, small_stream, backend):
         before = _shm_segments()
-        ShardedStreamRunner(
-            workers=2, backend=backend, dispatch="shared_memory"
-        ).run(FACTORY, small_stream)
+        sharded_run(small_stream, backend=backend, dispatch="shared_memory")
         assert _shm_segments() <= before
 
     @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_segment_released_on_worker_failure(self, small_stream, backend):
         before = _shm_segments()
-        runner = ShardedStreamRunner(
-            workers=2, backend=backend, dispatch="shared_memory"
-        )
-        with pytest.raises(RuntimeError, match="worker construction failed"):
-            runner.run(_boom_factory, small_stream)
+        factory = partial(_FailingPass, m=M, n=N, k=K, alpha=ALPHA, seed=7)
+        with pytest.raises(RuntimeError, match="worker pass failed"):
+            sharded_run(
+                small_stream,
+                factory=factory,
+                backend=backend,
+                dispatch="shared_memory",
+            )
         assert _shm_segments() <= before

@@ -3,15 +3,14 @@
 The persistent pool's contract has two halves, and this file proves
 both:
 
-* **Equivalence** -- every ``submit``/``collect`` round trip is
-  bit-identical to the per-run :class:`ShardedStreamRunner` at the same
-  boundaries (same merge, same wire format) and agrees exactly with the
-  scalar single pass, for every shard count, arrival order, and uneven
-  split we throw at it.
-* **No state leakage** -- workers stay resident across submissions, so
-  the pristine-snapshot reset must be airtight: running stream B after
-  stream A through the same pool yields byte-for-byte the state a fresh
-  pool would have produced for B, across many interleavings.
+* **Equivalence** -- every ``submit``/``collect`` round trip agrees
+  exactly with the scalar single pass, state and estimate, for every
+  shard count, arrival order, and uneven split we throw at it.
+* **No state leakage** -- workers stay resident across submissions and
+  reset after every ``collect`` by rebuilding their algorithm from the
+  factory, so running stream B after stream A through the same pool
+  yields byte-for-byte the state a fresh pool would have produced for
+  B, across many interleavings.
 
 Fault injection (crashes, hangs, shm leaks) lives in
 ``tests/test_executor_faults.py``; this file assumes healthy workers.
@@ -31,9 +30,9 @@ from repro import (
     EstimateMaxCover,
     MaxCoverReporter,
     PersistentShardExecutor,
-    ShardedStreamRunner,
     StreamRunner,
 )
+from repro.parallel import persistent
 from repro.sketch.serialize import ORDER_FREE_KEYS, state_difference
 from repro.streams.adversary import noise_first, signal_first
 
@@ -107,24 +106,8 @@ class TestEquivalence:
         estimate, digest = scalar_reference[order]
         assert merged.estimate() == estimate
         assert state_digest(merged) == digest
-        assert report.executor == "persistent"
         assert report.tokens == len(stream)
         assert report.workers == workers
-
-    @pytest.mark.parametrize("workers", (2, 3))
-    def test_bit_identical_to_per_run_runner(self, streams, workers):
-        """Same boundaries, same merge order -> byte-for-byte the same
-        state as the per-run pool (no canonicalisation needed)."""
-        stream = streams["random"]
-        per_run, _ = ShardedStreamRunner(
-            workers=workers, chunk_size=256, backend="serial"
-        ).run(ESTIMATOR, stream, boundaries=None)
-        with PersistentShardExecutor(
-            ESTIMATOR, workers=workers, chunk_size=256, backend="serial"
-        ) as pool:
-            persistent, _ = pool.run(stream)
-        assert_states_identical(per_run, persistent)
-        assert persistent.estimate() == per_run.estimate()
 
     @pytest.mark.parametrize(
         "boundaries",
@@ -177,11 +160,10 @@ class TestSoak:
                     estimate, digest = scalar_reference[name]
                     assert merged.estimate() == estimate, name
                     assert state_digest(merged) == digest, name
-                    assert report.executor == "persistent"
 
     def test_repeat_is_bit_stable(self, streams):
         """The same stream submitted N times returns byte-identical
-        state every time -- the pristine reset leaves no residue."""
+        state every time -- the rebuild leaves no residue."""
         stream = streams["random"]
         with PersistentShardExecutor(
             ESTIMATOR, workers=2, chunk_size=256, backend="serial"
@@ -205,6 +187,41 @@ class TestSoak:
         assert merged.estimate() == light_ref.estimate()
         assert state_digest(merged) == state_digest(light_ref)
 
+    def test_collect_rebuilds_instead_of_reloading(
+        self, streams, scalar_reference, monkeypatch
+    ):
+        """Workers reset by calling the factory again: start-up ships no
+        snapshot of the fresh state, each worker dumps its state once
+        per collect, and only the coordinator's merge loads blobs."""
+        dumps, loads = [], []
+
+        def counting(calls, real):
+            def wrapper(*args):
+                calls.append(args)
+                return real(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            persistent, "dumps_state", counting(dumps, persistent.dumps_state)
+        )
+        monkeypatch.setattr(
+            persistent, "loads_state", counting(loads, persistent.loads_state)
+        )
+        workers = 3
+        with PersistentShardExecutor(
+            ESTIMATOR, workers=workers, chunk_size=256, backend="serial"
+        ) as pool:
+            pool.start()
+            assert dumps == []
+            pool.run(streams["random"])
+            assert len(dumps) == workers
+            assert len(loads) == workers
+            merged, _ = pool.run(streams["noise_first"])
+        estimate, digest = scalar_reference["noise_first"]
+        assert merged.estimate() == estimate
+        assert state_digest(merged) == digest
+
 
 class TestProcessBackend:
     """The real multiprocessing pool returns the same bits (kept to a
@@ -223,7 +240,6 @@ class TestProcessBackend:
         assert first.estimate() == estimate
         assert state_digest(first) == digest
         assert_states_identical(first, second)
-        assert report.executor == "persistent"
         assert report.dispatch == "shared_memory"
 
     def test_submit_overlaps_coordinator(self, streams, scalar_reference):

@@ -1,11 +1,11 @@
 """Shard-equivalence suite: sharded runs are bit-identical to one pass.
 
-The tentpole guarantee of the sharded executor: partitioning the edge
-stream into contiguous shards, running an identically-seeded copy per
-shard, shipping state through the wire format, and merging in shard
-order reproduces the single-pass answer *exactly* -- for every shard
-count, for pathologically uneven splits, and under every adversarial
-arrival order, on both the scalar and the batched reference paths.
+The guarantee of the shard executor: partitioning the edge stream into
+contiguous shards, running an identically-seeded copy per shard,
+shipping state through the wire format, and merging in shard order
+reproduces the single-pass answer *exactly* -- for every shard count,
+for pathologically uneven splits, and under every adversarial arrival
+order, on both the scalar and the batched reference paths.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import pytest
 from repro import (
     EstimateMaxCover,
     MaxCoverReporter,
-    ShardedStreamRunner,
+    PersistentShardExecutor,
     StreamRunner,
 )
 from repro.sketch.serialize import state_difference
@@ -35,24 +35,32 @@ ESTIMATOR = partial(EstimateMaxCover, m=M, n=N, k=K, alpha=ALPHA, seed=7)
 REPORTER = partial(MaxCoverReporter, m=M, n=N, k=K, alpha=ALPHA, seed=13)
 
 
-@pytest.fixture(scope="module")
-def scalar_estimates(scalar_runs) -> dict[str, float]:
-    """Single-pass scalar-path reference estimate per arrival order."""
-    return {name: run.estimate for name, run in scalar_runs.items()}
+def sharded_run(
+    factory, stream, workers, chunk_size=256, backend="serial",
+    boundaries=None,
+):
+    """One pass through a fresh shard pool; ``(merged, report)``."""
+    with PersistentShardExecutor(
+        factory, workers=workers, chunk_size=chunk_size, backend=backend
+    ) as pool:
+        return pool.run(stream, boundaries)
+
+
+def assert_matches_scalar(merged, reference) -> None:
+    """Merged state and estimate equal the scalar single pass's."""
+    assert state_difference(merged.state_arrays(), reference.state) is None
+    assert merged.estimate() == reference.estimate
 
 
 class TestEstimatorEquivalence:
     @pytest.mark.parametrize("order", ORDERS)
     @pytest.mark.parametrize("workers", SHARD_COUNTS)
     def test_sharded_matches_scalar_single_pass(
-        self, adversarial_streams, scalar_estimates, order, workers
+        self, adversarial_streams, scalar_runs, order, workers
     ):
         stream = adversarial_streams[order]
-        runner = ShardedStreamRunner(
-            workers=workers, chunk_size=256, backend="serial"
-        )
-        merged, report = runner.run(ESTIMATOR, stream)
-        assert merged.estimate() == scalar_estimates[order]
+        merged, report = sharded_run(ESTIMATOR, stream, workers)
+        assert_matches_scalar(merged, scalar_runs[order])
         assert merged.tokens_seen == len(stream)
         assert report.tokens == len(stream)
         assert report.workers == workers
@@ -63,9 +71,9 @@ class TestEstimatorEquivalence:
         stream = adversarial_streams["random"]
         batched = ESTIMATOR()
         StreamRunner(chunk_size=512).run(batched, stream)
-        merged, _report = ShardedStreamRunner(
-            workers=3, chunk_size=512, backend="serial"
-        ).run(ESTIMATOR, stream)
+        merged, _report = sharded_run(
+            ESTIMATOR, stream, 3, chunk_size=512
+        )
         assert merged.estimate() == batched.estimate()
 
     @pytest.mark.parametrize(
@@ -74,38 +82,38 @@ class TestEstimatorEquivalence:
         ids=["one-edge-head", "tiny-head", "prime-cut"],
     )
     def test_uneven_splits(
-        self, adversarial_streams, scalar_estimates, boundaries
+        self, adversarial_streams, scalar_runs, boundaries
     ):
         """Shard sizes carry no information: cutting one edge off the
         head must not change the merged answer."""
         stream = adversarial_streams["random"]
-        merged, _report = ShardedStreamRunner(
-            workers=2, chunk_size=256, backend="serial"
-        ).run(ESTIMATOR, stream, boundaries=boundaries)
-        assert merged.estimate() == scalar_estimates["random"]
+        merged, _report = sharded_run(
+            ESTIMATOR, stream, 2, boundaries=boundaries
+        )
+        assert_matches_scalar(merged, scalar_runs["random"])
 
-    def test_empty_tail_shard(self, adversarial_streams, scalar_estimates):
+    def test_empty_tail_shard(self, adversarial_streams, scalar_runs):
         """A shard may legally receive zero edges (workers > tokens in
         the extreme); empty shards merge as identities."""
         stream = adversarial_streams["random"]
         total = len(stream)
-        merged, report = ShardedStreamRunner(
-            workers=3, chunk_size=256, backend="serial"
-        ).run(ESTIMATOR, stream, boundaries=[total, total])
-        assert merged.estimate() == scalar_estimates["random"]
+        merged, report = sharded_run(
+            ESTIMATOR, stream, 3, boundaries=[total, total]
+        )
+        assert_matches_scalar(merged, scalar_runs["random"])
         assert report.shards[1].tokens == 0
         assert report.shards[2].tokens == 0
 
     def test_process_backend_matches(
-        self, adversarial_streams, scalar_estimates
+        self, adversarial_streams, scalar_runs
     ):
         """The multiprocessing pool path returns the same bits as the
         serial harness (one shard count, to keep CI fast)."""
         stream = adversarial_streams["random"]
-        merged, report = ShardedStreamRunner(
-            workers=2, chunk_size=256, backend="process"
-        ).run(ESTIMATOR, stream)
-        assert merged.estimate() == scalar_estimates["random"]
+        merged, report = sharded_run(
+            ESTIMATOR, stream, 2, backend="process"
+        )
+        assert_matches_scalar(merged, scalar_runs["random"])
         assert len(report.shards) == 2
 
 
@@ -118,18 +126,14 @@ class TestReporterEquivalence:
         reference = single.solution()
 
         for workers in (2, 3):
-            merged, _report = ShardedStreamRunner(
-                workers=workers, chunk_size=256, backend="serial"
-            ).run(REPORTER, stream)
+            merged, _report = sharded_run(REPORTER, stream, workers)
             assert merged.solution() == reference
 
 
 class TestReportShape:
     def test_per_shard_timings_cover_the_stream(self, adversarial_streams):
         stream = adversarial_streams["random"]
-        _merged, report = ShardedStreamRunner(
-            workers=3, chunk_size=256, backend="serial"
-        ).run(ESTIMATOR, stream)
+        _merged, report = sharded_run(ESTIMATOR, stream, 3)
         assert [t.shard for t in report.shards] == [0, 1, 2]
         assert sum(t.tokens for t in report.shards) == len(stream)
         assert report.path == "sharded"
@@ -138,30 +142,30 @@ class TestReportShape:
 
     def test_bad_boundaries_rejected(self, adversarial_streams):
         stream = adversarial_streams["random"]
-        runner = ShardedStreamRunner(workers=2, backend="serial")
         with pytest.raises(ValueError, match="boundaries"):
-            runner.run(ESTIMATOR, stream, boundaries=[3, 5])
+            sharded_run(ESTIMATOR, stream, 2, boundaries=[3, 5])
 
     def test_bad_config_rejected(self):
         with pytest.raises(ValueError):
-            ShardedStreamRunner(workers=0)
+            PersistentShardExecutor(ESTIMATOR, workers=0)
         with pytest.raises(ValueError):
-            ShardedStreamRunner(chunk_size=0)
+            PersistentShardExecutor(ESTIMATOR, chunk_size=0)
         with pytest.raises(ValueError):
-            ShardedStreamRunner(backend="threads")
+            PersistentShardExecutor(ESTIMATOR, backend="threads")
         # Sizes are never coerced: bool and float fail, naming the
         # parameter, while numpy integers are integers.
         for bad in (True, 2.5):
             with pytest.raises(ValueError, match="workers"):
-                ShardedStreamRunner(workers=bad)
+                PersistentShardExecutor(ESTIMATOR, workers=bad)
         for bad in (True, 4096.9, "fast"):
             with pytest.raises(ValueError, match="chunk_size"):
-                ShardedStreamRunner(chunk_size=bad)
-        runner = ShardedStreamRunner(
-            workers=np.int64(2), chunk_size=np.int32(64)
+                PersistentShardExecutor(ESTIMATOR, chunk_size=bad)
+        pool = PersistentShardExecutor(
+            ESTIMATOR, workers=np.int64(2), chunk_size=np.int32(64)
         )
-        assert (runner.workers, runner.chunk_size) == (2, 64)
-        assert type(runner.workers) is int
+        assert (pool.workers, pool.chunk_size) == (2, 64)
+        assert type(pool.workers) is int
+        pool.close()
 
 
 class TestPlannedShardEquivalence:
@@ -176,9 +180,9 @@ class TestPlannedShardEquivalence:
         self, adversarial_streams, scalar_runs
     ):
         reference = scalar_runs["random"]
-        merged, _report = ShardedStreamRunner(
-            workers=3, chunk_size=256, backend="serial"
-        ).run(ESTIMATOR, adversarial_streams["random"])
+        merged, _report = sharded_run(
+            ESTIMATOR, adversarial_streams["random"], 3
+        )
         assert state_difference(merged.state_arrays(), reference.state) is None
         assert merged.estimate() == reference.estimate
         assert merged.space_words() == reference.space_words
@@ -189,81 +193,41 @@ class TestPlannedShardEquivalence:
         stream = adversarial_streams["fragmented"]
         reference = REPORTER()
         StreamRunner(path="scalar").run(reference, stream)
-        merged, _report = ShardedStreamRunner(
-            workers=2, chunk_size=256, backend="serial"
-        ).run(REPORTER, stream)
+        merged, _report = sharded_run(REPORTER, stream, 2)
         assert merged.solution() == reference.solution()
 
 
 class TestAutoWorkers:
-    """``workers='auto'`` sizing and the single-worker fallback."""
-
-    def test_single_core_falls_back_in_process(
-        self, adversarial_streams, scalar_estimates, monkeypatch
-    ):
-        import os
-
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)
-        runner = ShardedStreamRunner(workers="auto", backend="serial")
-        assert runner.workers == 1
-        merged, report = runner.run(
-            ESTIMATOR, adversarial_streams["random"]
-        )
-        assert report.fallback == "single_pass"
-        assert report.workers == 1
-        assert report.dispatch == "in_process"
-        assert report.dispatch_bytes == 0
-        assert merged.estimate() == scalar_estimates["random"]
+    """``workers='auto'`` sizes the pool to the host."""
 
     def test_multi_core_auto_runs_sharded(
-        self, adversarial_streams, scalar_estimates, monkeypatch
+        self, adversarial_streams, scalar_runs, monkeypatch
     ):
         import os
 
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        runner = ShardedStreamRunner(workers="auto", backend="serial")
-        assert runner.workers == 3
-        merged, report = runner.run(
-            ESTIMATOR, adversarial_streams["random"]
-        )
-        assert report.fallback == ""
+        with PersistentShardExecutor(
+            ESTIMATOR, workers="auto", chunk_size=256, backend="serial"
+        ) as pool:
+            assert pool.workers == 3
+            merged, report = pool.run(adversarial_streams["random"])
         assert len(report.shards) == 3
-        assert merged.estimate() == scalar_estimates["random"]
-
-    def test_explicit_single_worker_falls_back(
-        self, adversarial_streams, scalar_estimates
-    ):
-        merged, report = ShardedStreamRunner(
-            workers=1, backend="serial"
-        ).run(ESTIMATOR, adversarial_streams["random"])
-        assert report.fallback == "single_pass"
-        assert merged.estimate() == scalar_estimates["random"]
-
-    def test_boundaries_bypass_the_fallback(
-        self, adversarial_streams, scalar_estimates
-    ):
-        """Explicit boundaries ask for the shard pipeline; honour them."""
-        stream = adversarial_streams["random"]
-        merged, report = ShardedStreamRunner(
-            workers=1, backend="serial"
-        ).run(ESTIMATOR, stream, boundaries=[])
-        assert report.fallback == ""
-        assert len(report.shards) == 1
-        assert merged.estimate() == scalar_estimates["random"]
+        assert_matches_scalar(merged, scalar_runs["random"])
 
     def test_auto_sizes_a_real_process_pool(self, adversarial_streams):
-        """Unpatched ``os.cpu_count()``: on a multi-core host the shards
-        go through a real process pool, which must pickle the
-        module-level factory."""
+        """Unpatched ``os.cpu_count()``: the shards go through one real
+        worker process per CPU."""
         import os
 
         stream = adversarial_streams["random"]
-        runner = ShardedStreamRunner(workers="auto", chunk_size=256)
-        assert runner.workers == (os.cpu_count() or 1)
-        merged, report = runner.run(ESTIMATOR, stream)
-        assert report.workers == runner.workers
+        with PersistentShardExecutor(
+            ESTIMATOR, workers="auto", chunk_size=256
+        ) as pool:
+            assert pool.workers == (os.cpu_count() or 1)
+            merged, report = pool.run(stream)
+        assert report.workers == pool.workers
         assert merged.tokens_seen == len(stream)
 
     def test_bad_workers_string_rejected(self):
         with pytest.raises(ValueError, match="auto"):
-            ShardedStreamRunner(workers="three")
+            PersistentShardExecutor(ESTIMATOR, workers="three")
